@@ -14,7 +14,6 @@ from .align import (
     align_seq_to_lattice,
     dtw_align,
     edit_distance,
-    edit_distance_many,
     normalized_char_ed,
     smith_waterman,
     subnetwork_distance,
@@ -27,7 +26,6 @@ from .errors import (
     PathCountExceededError,
 )
 from .fusion import (
-    ALPHA_FREE_METHODS,
     METHODS,
     FusionConfig,
     MbrTables,

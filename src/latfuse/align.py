@@ -94,24 +94,7 @@ def edit_distance_matrix(cands, refs) -> np.ndarray:
     return out
 
 
-def edit_distance_many(cand, refs) -> np.ndarray:
-    """Levenshtein distance from one sequence to each of ``refs``."""
-    return edit_distance_matrix([cand], refs)[0]
-
-
-@lru_cache(maxsize=65536)
-def _char_ed(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-        prev = cur
-    return prev[-1]
+_char_ed = lru_cache(maxsize=65536)(edit_distance)
 
 
 def normalized_char_ed(a: str, b: str) -> float:

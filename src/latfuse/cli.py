@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input file (the message
-names the line), 3 domain error (e.g. a lattice with no complete path).
+names the line), 3 domain error (e.g. a word graph that fails validation).
 """
 
 import argparse
@@ -11,14 +11,15 @@ from .align import SWParams
 from .ctc import greedy_decode
 from .errors import FormatError, LatticeError
 from .formats import (
+    format_score,
     parse_pgs,
     parse_single,
     parse_word_graphs,
     read_transcriptions,
     write_cn,
 )
-from .fusion import FusionConfig, run_fusion
-from .lattice import best_path, cn_from_wg
+from .fusion import METHODS, FusionConfig, run_fusion
+from .lattice import Edge, best_path, cn_from_wg, validate_wg
 from .metrics import EvalPair, ser, wilcoxon_signed_rank
 from .simulate import (
     alpha_grid_from_step,
@@ -27,15 +28,6 @@ from .simulate import (
     run_scenario_grid,
     write_grid_reports,
 )
-
-_METHOD_FLAGS = {
-    "mbr": "mbr",
-    "lightly-ia": "lightly_ia",
-    "lightly-ai": "lightly_ai",
-    "global": "global",
-    "local": "local",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage errors."""
@@ -86,7 +78,18 @@ def _read(path):
 
 
 def _load_wg(path):
-    return parse_single(parse_word_graphs(_read(path), source=path), "WG", path)
+    """Parse one word graph and reject it unless ``validate_wg`` accepts it."""
+    wg = parse_single(parse_word_graphs(_read(path), source=path), "WG", path)
+    verdict = validate_wg(wg)
+    if not verdict:
+        where = verdict.offender
+        if isinstance(where, Edge):
+            where = (f"E {where.src} {where.dst} {where.label} "
+                     f"{format_score(where.score)}")
+        detail = "" if where is None else f": {where}"
+        raise LatticeError(
+            f"{path}: invalid word graph: {verdict.violation}{detail}")
+    return wg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse",
                        help="fuse an image and an audio word graph")
-    p.add_argument("--method", required=True, choices=sorted(_METHOD_FLAGS))
+    p.add_argument("--method", required=True,
+                   choices=sorted(m.replace("_", "-") for m in METHODS))
     p.add_argument("--image", required=True, metavar="FILE")
     p.add_argument("--audio", required=True, metavar="FILE")
     p.add_argument("--alpha", type=_alpha, default=0.5)
@@ -161,7 +165,7 @@ def _cmd_wg_to_cn(args):
 def _cmd_fuse(args):
     cfg = FusionConfig(
         alpha=args.alpha,
-        method=_METHOD_FLAGS[args.method],
+        method=args.method.replace("-", "_"),
         laplace_lambda=args.laplace_lambda,
         sw=SWParams(args.sw_match, args.sw_mismatch, args.sw_gap),
         max_paths=args.max_paths,

@@ -5,6 +5,9 @@ lightly-supervised correction in either direction (lightly_ia, lightly_ai),
 confusion-network merging after DTW alignment (global), and merging of the
 two best paths after Smith-Waterman local alignment (local).
 
+``PREPARE_METHOD`` holds each variant as work done once per lattice pair
+plus a decode per alpha; ``run_fusion`` and the scenario grid both use it.
+
 The ``wg_i``/``wg_a`` argument pair is by convention the image-side and
 audio-side lattice; ``alpha`` weights the image side, ``1 - alpha`` the
 audio side.
@@ -37,9 +40,6 @@ from .lattice import (
 )
 
 METHODS = ("mbr", "lightly_ia", "lightly_ai", "global", "local")
-
-#: Methods whose output does not depend on the combination weight alpha.
-ALPHA_FREE_METHODS = ("lightly_ia", "lightly_ai", "local")
 
 _EPS_SUBNETWORK = {EPS: 1.0}
 
@@ -131,7 +131,11 @@ def fuse_mbr(
     distance to each lattice's paths, mixed with weight ``cfg.alpha`` on the
     image side.
     """
-    return MbrTables(wg_i, wg_a, cfg.max_paths).decode(cfg.alpha)
+    return _prepare_mbr(wg_i, wg_a, cfg)(cfg.alpha)
+
+
+def _prepare_mbr(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
+    return MbrTables(wg_i, wg_a, cfg.max_paths).decode
 
 
 def mbr_decode(wg: WordGraph, max_paths: int = 100) -> SymbolSequence:
@@ -223,10 +227,20 @@ def fuse_global(
     wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig = FusionConfig()
 ) -> SymbolSequence:
     """Confusion-network fusion: convert, align, merge, decode, strip."""
+    return _prepare_global(wg_i, wg_a, cfg)(cfg.alpha)
+
+
+def _prepare_global(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
+    """Convert and DTW-align once; merge and decode per alpha."""
     cn_i = cn_from_wg(wg_i, cfg.max_paths)
     cn_a = cn_from_wg(wg_a, cfg.max_paths)
-    merged = combine_cns(cn_i, cn_a, cfg.alpha, cfg.laplace_lambda)
-    return strip_eps(cn_best_path(merged))
+    path, _ = dtw_align(cn_i, cn_a, subnetwork_distance)
+
+    def decode(alpha: float) -> SymbolSequence:
+        merged = combine_cns(cn_i, cn_a, alpha, cfg.laplace_lambda, path)
+        return strip_eps(cn_best_path(merged))
+
+    return decode
 
 
 def merge_aligned_best_paths(
@@ -286,18 +300,26 @@ def fuse_local(
     return merge_aligned_best_paths(seq_i, seq_a, cfg.sw)
 
 
+def _alpha_free(hyp: SymbolSequence):
+    return lambda alpha: hyp
+
+
+#: Every fusion method as ``prepare(wg_i, wg_a, cfg) -> decode(alpha)``:
+#: ``prepare`` does the work shared by all alphas once per lattice pair,
+#: ``decode`` returns the fused sequence for one alpha.  Entries look the
+#: module's functions up by name when called, never holding the function
+#: objects, so a patched or wrapped function is the one that runs.
+PREPARE_METHOD = {
+    "mbr": _prepare_mbr,
+    "lightly_ia": lambda wg_i, wg_a, cfg: _alpha_free(fuse_lightly(wg_i, wg_a)),
+    "lightly_ai": lambda wg_i, wg_a, cfg: _alpha_free(fuse_lightly(wg_a, wg_i)),
+    "global": _prepare_global,
+    "local": lambda wg_i, wg_a, cfg: _alpha_free(fuse_local(wg_i, wg_a, cfg)),
+}
+
+
 def run_fusion(
     wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig
 ) -> SymbolSequence:
-    """Dispatch on ``cfg.method``; image lattice first, audio second."""
-    if cfg.method == "mbr":
-        return fuse_mbr(wg_i, wg_a, cfg)
-    if cfg.method == "lightly_ia":
-        return fuse_lightly(wg_i, wg_a)
-    if cfg.method == "lightly_ai":
-        return fuse_lightly(wg_a, wg_i)
-    if cfg.method == "global":
-        return fuse_global(wg_i, wg_a, cfg)
-    if cfg.method == "local":
-        return fuse_local(wg_i, wg_a, cfg)
-    raise ValueError(f"unknown fusion method {cfg.method!r}")
+    """Fuse with ``cfg.method`` at ``cfg.alpha``; image lattice first."""
+    return PREPARE_METHOD[cfg.method](wg_i, wg_a, cfg)(cfg.alpha)

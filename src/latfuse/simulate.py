@@ -19,25 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .align import dtw_align, edit_distance, subnetwork_distance
-from .fusion import (
-    METHODS,
-    FusionConfig,
-    MbrTables,
-    combine_cns,
-    fuse_lightly,
-    merge_aligned_best_paths,
-)
-from .lattice import (
-    Edge,
-    SymbolSequence,
-    Vocabulary,
-    WordGraph,
-    best_path,
-    cn_best_path,
-    cn_from_wg,
-    strip_eps,
-)
+from .align import edit_distance
+from .fusion import METHODS, PREPARE_METHOD, FusionConfig
+from .lattice import Edge, SymbolSequence, Vocabulary, WordGraph, best_path
 from .metrics import result_line, wilcoxon_signed_rank
 
 LEVELS = ("High", "Medium", "Low")
@@ -398,29 +382,10 @@ def run_scenario(
         record(baseline_trials["image"], seq_i)
         record(baseline_trials["audio"], seq_a)
 
-        if "mbr" in methods:
-            tables = MbrTables(wg_i, wg_a, cfg.max_paths)
+        for m in methods:
+            decode = PREPARE_METHOD[m](wg_i, wg_a, cfg)
             for a in alpha_grid:
-                record(cell_trials[("mbr", a)], tables.decode(a))
-        if "lightly_ia" in methods:
-            hyp = fuse_lightly(wg_i, wg_a)
-            for a in alpha_grid:
-                record(cell_trials[("lightly_ia", a)], hyp)
-        if "lightly_ai" in methods:
-            hyp = fuse_lightly(wg_a, wg_i)
-            for a in alpha_grid:
-                record(cell_trials[("lightly_ai", a)], hyp)
-        if "global" in methods:
-            cn_i = cn_from_wg(wg_i, cfg.max_paths)
-            cn_a = cn_from_wg(wg_a, cfg.max_paths)
-            path, _ = dtw_align(cn_i, cn_a, subnetwork_distance)
-            for a in alpha_grid:
-                merged = combine_cns(cn_i, cn_a, a, cfg.laplace_lambda, path)
-                record(cell_trials[("global", a)], strip_eps(cn_best_path(merged)))
-        if "local" in methods:
-            hyp = merge_aligned_best_paths(seq_i, seq_a, cfg.sw)
-            for a in alpha_grid:
-                record(cell_trials[("local", a)], hyp)
+                record(cell_trials[(m, a)], decode(a))
 
     baseline_ser = {k: _pooled(v) for k, v in baseline_trials.items()}
     cells = {key: _pooled(v) for key, v in cell_trials.items()}

@@ -142,6 +142,32 @@ class TestErrorPaths:
         dead.write_text("WG x\nV 3\nI 0\nF 2\nE 0 1 a 0.5\nEND\n")
         assert run(["wg-best-path", "--wg", str(dead)]) == 3
 
+    @pytest.mark.parametrize(
+        "edges, invariant, offender",
+        [
+            ("E 0 1 a 0.5\nE 1 2 b 0.5\nE 0 9 c 0.5\n",
+             "edge endpoint out of range", "E 0 9 c 0.5"),
+            ("E 0 1 a 0\nE 1 2 b 0.5\n",
+             "edge score outside (0, 1]", "E 0 1 a 0"),
+            ("E 0 1 a 0.5\nE 1 2 b 0.5\nE 2 3 c 0.5\n",
+             "edge leaves final vertex", "E 2 3 c 0.5"),
+        ],
+        ids=["vertex-out-of-range", "zero-score", "edge-leaves-final"],
+    )
+    def test_invalid_word_graph_exit_3(self, tmp_path, capsys, edges,
+                                       invariant, offender):
+        bad = tmp_path / "bad.wg"
+        bad.write_text(f"WG x\nV 4\nI 0\nF 2\n{edges}END\n")
+        for argv in (["wg-best-path", "--wg", str(bad)],
+                     ["fuse", "--method", "mbr", "--image", str(bad),
+                      "--audio", str(bad)]):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(bad) in captured.err
+            assert f"{invariant}: {offender}" in captured.err
+            assert "Traceback" not in captured.err
+
     def test_no_command_exit_1(self):
         assert run([]) == 1
 

@@ -5,6 +5,7 @@ import pytest
 
 from latfuse import (
     EPS,
+    METHODS,
     FusionConfig,
     SymbolSequence,
     WordGraph,
@@ -22,6 +23,7 @@ from latfuse import (
     run_fusion,
     strip_eps,
 )
+from latfuse.fusion import PREPARE_METHOD
 from latgen import CLOSE_TOKENS, random_wg
 from oracles import dfs_paths, mbr_by_enumeration, nearest_path_by_enumeration
 
@@ -275,6 +277,17 @@ class TestDispatchAndIdentity:
             cfg = FusionConfig(method=method)
             out = run_fusion(wg_i, wg_a, cfg)
             assert isinstance(out, SymbolSequence)
+
+    def test_prepared_decode_matches_run_fusion(self):
+        assert tuple(PREPARE_METHOD) == METHODS
+        rng = np.random.default_rng(61)
+        for _ in range(8):
+            wg_i, wg_a = random_wg(rng), random_wg(rng)
+            for method in METHODS:
+                decode = PREPARE_METHOD[method](wg_i, wg_a, FusionConfig())
+                for alpha in (0.1, 0.5, 0.9):
+                    cfg = FusionConfig(alpha=alpha, method=method)
+                    assert decode(alpha) == run_fusion(wg_i, wg_a, cfg)
 
     def test_lightly_direction(self):
         corr = single_path_wg(("p", "q"))

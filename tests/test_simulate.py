@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latfuse import (
+    METHODS,
     FusionConfig,
     LEVEL_TARGET_SER,
     ScenarioSpec,
@@ -9,16 +10,19 @@ from latfuse import (
     best_path,
     calibrate_noise,
     default_vocabulary,
+    edit_distance,
     fuse_global,
     fuse_lightly,
     fuse_local,
     fuse_mbr,
     generate_wg_pair,
+    run_fusion,
     validate_wg,
 )
 from latfuse.simulate import (
     _calibration_corpus,
     _corpus_spine_ser,
+    _trial_sample,
     alpha_grid_from_step,
     calibrated_rate,
     format_report,
@@ -180,6 +184,22 @@ class TestScenarioRun:
                            alpha_grid=(0.2, 0.8))
         for m in ("lightly_ia", "lightly_ai", "local"):
             assert rep.cells[(m, 0.2)] == rep.cells[(m, 0.8)]
+
+    def test_cells_match_public_fusion_api(self):
+        spec = small_spec(trials=2)
+        alpha_grid = (0.2, 0.8)
+        rates = (0.3, 0.1)
+        rep = run_scenario(spec, 3, noise_rates=rates, alpha_grid=alpha_grid)
+        trials = [_trial_sample(spec, 3, t, *rates) for t in range(spec.trials)]
+        total = sum(len(truth) for truth, _, _ in trials)
+        for m in METHODS:
+            for a in alpha_grid:
+                cfg = FusionConfig(alpha=a, method=m)
+                errors = sum(
+                    edit_distance(run_fusion(wg_i, wg_a, cfg), truth)
+                    for truth, wg_i, wg_a in trials
+                )
+                assert rep.cells[(m, a)] == 100.0 * errors / total
 
     def test_report_text_deterministic(self):
         spec = small_spec(trials=2)
