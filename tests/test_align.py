@@ -62,8 +62,11 @@ class TestEditDistance:
             for i, c in enumerate(cands):
                 for j, r in enumerate(refs):
                     assert mat[i, j] == edit_distance(c, r)
+
+    def test_many_vector(self):
         refs = [("a",), ("a", "b"), ()]
-        assert list(edit_distance_matrix([("a", "b")], refs)[0]) == [1, 0, 2]
+        got = edit_distance_matrix([("a", "b")], refs)[0]
+        assert list(got) == [1, 0, 2]
 
     def test_accepts_symbol_sequences(self):
         a = SymbolSequence(("a", "b"))
