@@ -16,6 +16,7 @@ from .formats import (
     parse_single,
     parse_word_graphs,
     read_transcriptions,
+    read_values,
     write_cn,
 )
 from .fusion import METHODS, FusionConfig, run_fusion
@@ -197,21 +198,9 @@ def _cmd_simulate(args):
     print(f"wrote {len(paths)} files to {args.out}")
 
 
-def _read_values(path):
-    values = []
-    for no, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise FormatError(path, no, f"bad number {line!r}") from None
-    return values
-
-
 def _cmd_wilcoxon(args):
-    va, vb = _read_values(args.a), _read_values(args.b)
+    va = read_values(_read(args.a), source=args.a)
+    vb = read_values(_read(args.b), source=args.b)
     if len(va) != len(vb):
         raise ValueError(f"files hold {len(va)} and {len(vb)} values")
     res = wilcoxon_signed_rank(va, vb)

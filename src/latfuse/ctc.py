@@ -18,8 +18,8 @@ ROW_SUM_TOL = 1e-6
 class Posteriorgram:
     """K x |labels| row-stochastic matrix of per-step symbol activations.
 
-    ``labels`` must contain the blank token ``<blk>``; each row sums to 1
-    within 1e-6 and has no negative entries.
+    ``labels`` must contain the blank token ``<blk>``; each row is finite,
+    sums to 1 within 1e-6 and has no negative entries.
     """
 
     labels: tuple[str, ...]
@@ -35,9 +35,13 @@ class Posteriorgram:
             raise ValueError("duplicate posteriorgram labels")
         if rows.ndim != 2 or rows.shape[1] != len(self.labels):
             raise ValueError("rows must be K x len(labels)")
-        if rows.size and rows.min() < 0:
-            raise ValueError("negative activation")
         if rows.size:
+            bad = ~np.isfinite(rows).all(axis=1)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"row {k} has a non-finite activation")
+            if rows.min() < 0:
+                raise ValueError("negative activation")
             sums = rows.sum(axis=1)
             bad = np.abs(sums - 1.0) > ROW_SUM_TOL
             if bad.any():

@@ -1,9 +1,11 @@
 """Line-based UTF-8 text formats for word graphs, confusion networks and
-posteriorgrams, plus plain transcription files.
+posteriorgrams, plus plain transcription and value files.
 
-Scores are printed with 12 significant digits and the parsers round-trip
-bit-exactly at that precision: parse(write(x)) serializes back to identical
-bytes.  ``#`` starts a comment; blank lines are ignored (except in
+WG, CN and PG files share one record grammar (``_record_lines``): a
+``<head> <name>`` line, one keyword per line, then ``END``.  Scores are
+printed with 12 significant digits and the parsers round-trip bit-exactly at
+that precision: parse(write(x)) serializes back to identical bytes.  A line
+starting with ``#`` is a comment; blank lines are ignored (except in
 transcription files, where every line is one transcription).
 """
 
@@ -40,184 +42,166 @@ def _parse_score(tok: str, source, no) -> float:
     return value
 
 
+def _record_lines(text: str, source, head: str, body: tuple):
+    """Yield (line_no, keyword, args) for each content line of ``head`` records.
+
+    Owns the record framing shared by the WG, CN and PG formats: ``<head>
+    <name>`` opens a record, ``END`` closes it, records do not nest, and only
+    the ``body`` keywords may appear in between.  The head line comes out as
+    (no, head, [name]), the closing one as (no, "END", args).  Lines are
+    yielded one at a time, so every error surfaces in file order.
+    """
+    open_at = None
+    for no, line in _content_lines(text):
+        kw, *args = line.split()
+        if kw == head:
+            if open_at is not None:
+                open_at = no  # a nested head is reported where it appears
+                break
+            if len(args) != 1:
+                raise FormatError(source, no, f"expected: {head} <name>")
+            open_at = no
+        elif open_at is None:
+            raise FormatError(source, no, f"{kw!r} outside a {head} record")
+        elif kw == "END":
+            open_at = None
+        elif kw not in body:
+            raise FormatError(source, no, f"unknown keyword {kw!r}")
+        yield no, kw, args
+    if open_at is not None:
+        raise FormatError(source, open_at, f"{head} record not closed with END")
+
+
+def _require(fields: dict, need: tuple, name: str, source, no):
+    """Fail at the END line of record ``name`` unless every ``need`` line came."""
+    for kw in need:
+        if kw not in fields:
+            raise FormatError(source, no, f"record {name!r} missing {kw} line")
+
+
+def _write_record(head: str, name: str, body: list) -> str:
+    return "\n".join([f"{head} {name}", *body, "END"]) + "\n"
+
+
 def write_wg(wg: WordGraph, name: str = "wg") -> str:
-    lines = [f"WG {name}", f"V {wg.num_vertices}", f"I {wg.initial}"]
-    lines.append("F " + " ".join(str(f) for f in sorted(wg.finals)))
-    for e in wg.edges:
-        lines.append(f"E {e.src} {e.dst} {e.label} {format_score(e.score)}")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    return _write_record("WG", name, [
+        f"V {wg.num_vertices}",
+        f"I {wg.initial}",
+        "F " + " ".join(str(f) for f in sorted(wg.finals)),
+        *(f"E {e.src} {e.dst} {e.label} {format_score(e.score)}"
+          for e in wg.edges),
+    ])
 
 
 def parse_word_graphs(text: str, source: str = "<wg>") -> list:
     """Parse a stream of WG records; returns [(name, WordGraph), ...]."""
     records = []
-    cur = None  # (name, line_no, {V, I, F, E})
-    for no, line in _content_lines(text):
-        parts = line.split()
-        kw = parts[0]
-        if kw == "WG":
-            if cur is not None:
-                raise FormatError(source, no, "WG record not closed with END")
-            if len(parts) != 2:
-                raise FormatError(source, no, "expected: WG <name>")
-            cur = {"name": parts[1], "line": no, "V": None, "I": None,
-                   "F": None, "E": []}
-            continue
-        if cur is None:
-            raise FormatError(source, no, f"{kw!r} outside a WG record")
-        if kw == "V" or kw == "I":
-            if len(parts) != 2 or cur[kw] is not None:
-                raise FormatError(source, no, f"expected one: {kw} <count>")
-            try:
-                cur[kw] = int(parts[1])
-            except ValueError:
-                raise FormatError(source, no, f"bad integer {parts[1]!r}") from None
-        elif kw == "F":
-            if len(parts) < 2 or cur["F"] is not None:
-                raise FormatError(source, no, "expected one: F <id> [<id>...]")
-            try:
-                cur["F"] = frozenset(int(p) for p in parts[1:])
-            except ValueError:
-                raise FormatError(source, no, "bad final vertex id") from None
-        elif kw == "E":
-            if len(parts) != 5:
+    for no, kw, args in _record_lines(text, source, "WG", ("E", "V", "I", "F")):
+        if kw == "E":
+            if len(args) != 4:
                 raise FormatError(
                     source, no, "expected: E <from> <to> <label> <score>"
                 )
             try:
-                src, dst = int(parts[1]), int(parts[2])
+                src, dst = int(args[0]), int(args[1])
             except ValueError:
                 raise FormatError(source, no, "bad edge vertex id") from None
-            cur["E"].append(
-                Edge(src, dst, parts[3], _parse_score(parts[4], source, no))
-            )
+            edges.append(Edge(src, dst, args[2], _parse_score(args[3], source, no)))
+        elif kw == "WG":
+            name, fields, edges = args[0], {}, []
         elif kw == "END":
-            for need in ("V", "I", "F"):
-                if cur[need] is None:
-                    raise FormatError(
-                        source, no, f"record {cur['name']!r} missing {need} line"
-                    )
-            records.append(
-                (
-                    cur["name"],
-                    WordGraph(cur["V"], cur["I"], cur["F"], tuple(cur["E"])),
-                )
-            )
-            cur = None
-        else:
-            raise FormatError(source, no, f"unknown keyword {kw!r}")
-    if cur is not None:
-        raise FormatError(source, cur["line"], "WG record not closed with END")
+            _require(fields, ("V", "I", "F"), name, source, no)
+            records.append((name, WordGraph(
+                fields["V"], fields["I"], fields["F"], tuple(edges))))
+        elif kw == "F":
+            if not args or "F" in fields:
+                raise FormatError(source, no, "expected one: F <id> [<id>...]")
+            try:
+                fields["F"] = frozenset(int(p) for p in args)
+            except ValueError:
+                raise FormatError(source, no, "bad final vertex id") from None
+        else:  # V or I
+            if len(args) != 1 or kw in fields:
+                raise FormatError(source, no, f"expected one: {kw} <count>")
+            try:
+                fields[kw] = int(args[0])
+            except ValueError:
+                raise FormatError(source, no, f"bad integer {args[0]!r}") from None
     return records
 
 
 def write_cn(cn: ConfusionNetwork, name: str = "cn") -> str:
-    lines = [f"CN {name}"]
+    body = []
     for sub in cn.subnetworks:
-        lines.append("S")
+        body.append("S")
         for lab in sorted(sub, key=lambda l: (-sub[l], l)):
-            lines.append(f"A {lab} {format_score(sub[lab])}")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+            body.append(f"A {lab} {format_score(sub[lab])}")
+    return _write_record("CN", name, body)
 
 
 def parse_cns(text: str, source: str = "<cn>") -> list:
     """Parse a stream of CN records; returns [(name, ConfusionNetwork), ...]."""
     records = []
-    cur = None
-    subs = None
-    for no, line in _content_lines(text):
-        parts = line.split()
-        kw = parts[0]
-        if kw == "CN":
-            if cur is not None:
-                raise FormatError(source, no, "CN record not closed with END")
-            if len(parts) != 2:
-                raise FormatError(source, no, "expected: CN <name>")
-            cur = (parts[1], no)
-            subs = []
-        elif cur is None:
-            raise FormatError(source, no, f"{kw!r} outside a CN record")
-        elif kw == "S":
-            if len(parts) != 1:
-                raise FormatError(source, no, "expected bare S line")
-            subs.append({})
-        elif kw == "A":
-            if len(parts) != 3:
+    for no, kw, args in _record_lines(text, source, "CN", ("A", "S")):
+        if kw == "A":
+            if len(args) != 2:
                 raise FormatError(source, no, "expected: A <label> <score>")
             if not subs:
                 raise FormatError(source, no, "A line before any S line")
-            if parts[1] in subs[-1]:
-                raise FormatError(source, no, f"duplicate label {parts[1]!r}")
-            subs[-1][parts[1]] = _parse_score(parts[2], source, no)
-        elif kw == "END":
-            if any(not s for s in subs):
+            if args[0] in subs[-1]:
+                raise FormatError(source, no, f"duplicate label {args[0]!r}")
+            subs[-1][args[0]] = _parse_score(args[1], source, no)
+        elif kw == "S":
+            if args:
+                raise FormatError(source, no, "expected bare S line")
+            subs.append({})
+        elif kw == "CN":
+            name, subs = args[0], []
+        else:  # END
+            if not all(subs):
                 raise FormatError(source, no, "empty subnetwork")
-            records.append((cur[0], ConfusionNetwork(tuple(subs))))
-            cur, subs = None, None
-        else:
-            raise FormatError(source, no, f"unknown keyword {kw!r}")
-    if cur is not None:
-        raise FormatError(source, cur[1], "CN record not closed with END")
+            records.append((name, ConfusionNetwork(tuple(subs))))
     return records
 
 
 def write_pg(pg: Posteriorgram, name: str = "pg") -> str:
-    lines = [f"PG {name}", "LABELS " + " ".join(pg.labels)]
-    for row in pg.rows:
-        lines.append("ROW " + " ".join(format_score(v) for v in row))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    return _write_record("PG", name, [
+        "LABELS " + " ".join(pg.labels),
+        *("ROW " + " ".join(format_score(v) for v in row) for row in pg.rows),
+    ])
 
 
 def parse_pgs(text: str, source: str = "<pg>") -> list:
     """Parse a stream of PG records; returns [(name, Posteriorgram), ...]."""
     records = []
-    cur = None
-    for no, line in _content_lines(text):
-        parts = line.split()
-        kw = parts[0]
-        if kw == "PG":
-            if cur is not None:
-                raise FormatError(source, no, "PG record not closed with END")
-            if len(parts) != 2:
-                raise FormatError(source, no, "expected: PG <name>")
-            cur = {"name": parts[1], "line": no, "labels": None, "rows": []}
-        elif cur is None:
-            raise FormatError(source, no, f"{kw!r} outside a PG record")
-        elif kw == "LABELS":
-            if len(parts) < 2 or cur["labels"] is not None:
-                raise FormatError(source, no, "expected one: LABELS <tok> ...")
-            cur["labels"] = tuple(parts[1:])
-        elif kw == "ROW":
-            if cur["labels"] is None:
+    for no, kw, args in _record_lines(text, source, "PG", ("ROW", "LABELS")):
+        if kw == "ROW":
+            if "LABELS" not in fields:
                 raise FormatError(source, no, "ROW before LABELS")
-            if len(parts) != len(cur["labels"]) + 1:
+            width = len(fields["LABELS"])
+            if len(args) != width:
                 raise FormatError(
-                    source, no,
-                    f"expected {len(cur['labels'])} values, got {len(parts) - 1}",
+                    source, no, f"expected {width} values, got {len(args)}"
                 )
             try:
-                cur["rows"].append([float(p) for p in parts[1:]])
+                rows.append([float(p) for p in args])
             except ValueError:
                 raise FormatError(source, no, "bad activation value") from None
-        elif kw == "END":
+        elif kw == "PG":
+            name, head_no, fields, rows = args[0], no, {}, []
+        elif kw == "LABELS":
+            if not args or "LABELS" in fields:
+                raise FormatError(source, no, "expected one: LABELS <tok> ...")
+            fields["LABELS"] = tuple(args)
+        else:  # END
+            _require(fields, ("LABELS",), name, source, no)
+            labels = fields["LABELS"]
             try:
-                pg = Posteriorgram(
-                    cur["labels"],
-                    np.array(cur["rows"], dtype=float).reshape(
-                        len(cur["rows"]), len(cur["labels"])
-                    ),
-                )
+                pg = Posteriorgram(labels, np.array(rows, dtype=float).reshape(
+                    len(rows), len(labels)))
             except ValueError as exc:
-                raise FormatError(source, cur["line"], str(exc)) from None
-            records.append((cur["name"], pg))
-            cur = None
-        else:
-            raise FormatError(source, no, f"unknown keyword {kw!r}")
-    if cur is not None:
-        raise FormatError(source, cur["line"], "PG record not closed with END")
+                raise FormatError(source, head_no, str(exc)) from None
+            records.append((name, pg))
     return records
 
 
@@ -227,6 +211,17 @@ def parse_single(records: list, kind: str, source: str):
             source, 1, f"expected exactly one {kind} record, found {len(records)}"
         )
     return records[0][1]
+
+
+def read_values(text: str, source: str = "<values>") -> list:
+    """One number per line; blank and ``#`` comment lines are skipped."""
+    values = []
+    for no, line in _content_lines(text):
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise FormatError(source, no, f"bad number {line!r}") from None
+    return values
 
 
 def read_transcriptions(text: str) -> list:

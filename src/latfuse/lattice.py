@@ -176,8 +176,8 @@ def validate_wg(wg: WordGraph) -> Verdict:
     """Check every word-graph invariant; report the first violation found.
 
     Check order: vertex ranges, finals non-empty, initial not final, edge
-    endpoint/score sanity, no edge into the initial vertex, no edge out of a
-    final vertex, acyclicity, and existence of a complete path.
+    endpoint/score sanity, acyclicity, no edge into the initial vertex, no
+    edge out of a final vertex, and existence of a complete path.
     """
     n = wg.num_vertices
     if n < 1:
@@ -198,14 +198,15 @@ def validate_wg(wg: WordGraph) -> Verdict:
             return Verdict(False, "edge label empty or has whitespace", e)
         if not 0.0 < e.score <= 1.0:
             return Verdict(False, "edge score outside (0, 1]", e)
-    if topological_order(wg) is None:
+    order = topological_order(wg)
+    if order is None:
         return Verdict(False, "acyclic", None)
     for e in wg.edges:
         if e.dst == wg.initial:
             return Verdict(False, "edge enters initial vertex", e)
         if e.src in wg.finals:
             return Verdict(False, "edge leaves final vertex", e)
-    if count_paths(wg) == 0:
+    if _count_paths_along(wg, order) == 0:
         return Verdict(False, "no complete path", None)
     return Verdict(True)
 
@@ -213,8 +214,10 @@ def validate_wg(wg: WordGraph) -> Verdict:
 def count_paths(wg: WordGraph) -> int:
     """Exact number of complete paths (exact integer arithmetic)."""
     order = topological_order(wg)
-    if order is None:
-        return 0
+    return 0 if order is None else _count_paths_along(wg, order)
+
+
+def _count_paths_along(wg: WordGraph, order: list[int]) -> int:
     ways = [0] * wg.num_vertices
     ways[wg.initial] = 1
     adj = wg.out_edges()

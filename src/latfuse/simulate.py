@@ -461,7 +461,8 @@ def run_scenario_grid(
 ) -> list:
     """Run every scenario spec (numbered from 1) and collect the reports.
 
-    Noise rates are calibrated once per distinct (level, geometry) pair and
+    Noise rates are calibrated once per distinct tuple of what calibration
+    reads (level, seed, vocabulary size, length range, confusion width) and
     shared across scenarios.  ``seed`` overrides every spec's seed when
     given.
     """
@@ -476,7 +477,7 @@ def run_scenario_grid(
             spec.seed,
             spec.vocab_size,
             spec.sequence_length_range,
-            spec.branching,
+            spec.confusion_width,
         )
         if key not in rate_cache:
             rate_cache[key] = calibrated_rate(spec, level)

@@ -96,3 +96,40 @@ def dominant_pg(rng, steps=10, labels=("<blk>", "a", "b", "c")):
         row[k] += 0.7
         rows.append(row / row.sum())
     return Posteriorgram(labels, np.array(rows))
+
+
+# small values a corrupted file might hold in place of a token
+MUTATION_TOKENS = ("0", "1", "2", "-1", "9", "0.5", "1.5", "nan", "inf",
+                   "x", "#", "END", BLANK)
+
+
+def mutate_text(text, rng, max_edits=3):
+    """Seeded corruption of a line-based file.
+
+    Each of 1..``max_edits`` edits picks a line and deletes, duplicates or
+    truncates it, or drops one of its tokens, or replaces one with a
+    ``MUTATION_TOKENS`` value.
+    """
+    lines = text.splitlines()
+    for _ in range(int(rng.integers(1, max_edits + 1))):
+        if not lines:
+            break
+        i = int(rng.integers(0, len(lines)))
+        op = int(rng.integers(0, 5))
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            lines[i] = lines[i][: int(rng.integers(0, len(lines[i]) + 1))]
+        else:
+            toks = lines[i].split()
+            if toks:
+                j = int(rng.integers(0, len(toks)))
+                if op == 3:
+                    del toks[j]
+                else:
+                    toks[j] = MUTATION_TOKENS[
+                        int(rng.integers(0, len(MUTATION_TOKENS)))]
+            lines[i] = " ".join(toks)
+    return "".join(line + "\n" for line in lines)

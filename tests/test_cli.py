@@ -4,7 +4,7 @@ import pytest
 from latfuse.cli import run
 from latfuse.formats import write_pg, write_wg
 from latfuse.lattice import WordGraph
-from latgen import random_pg, random_wg
+from latgen import mutate_text, random_pg, random_wg
 
 
 @pytest.fixture
@@ -168,8 +168,43 @@ class TestErrorPaths:
             assert f"{invariant}: {offender}" in captured.err
             assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", ":2: record 'p' missing LABELS line"),
+            ("LABELS <blk> a\nROW 1 0\nROW nan nan\n",
+             ":1: row 1 has a non-finite activation"),
+        ],
+        ids=["missing-labels", "nan-row"],
+    )
+    def test_bad_posteriorgram_exit_2(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "p.pg"
+        bad.write_text(f"PG p\n{body}END\n")
+        assert run(["decode-greedy", "--pg", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"latfuse: {bad}{message}\n"
+
     def test_no_command_exit_1(self):
         assert run([]) == 1
+
+    def test_mutated_files_never_escape(self, tmp_path, capsys):
+        rng = np.random.default_rng(92)
+        path = tmp_path / "m.txt"
+        codes = set()
+        for i in range(200):
+            if i % 2:
+                argv = ["decode-greedy", "--pg", str(path)]
+                text = write_pg(random_pg(rng, steps=3))
+            else:
+                argv = ["wg-best-path", "--wg", str(path)]
+                text = write_wg(random_wg(rng))
+            path.write_text(mutate_text(text, rng))
+            code = run(argv)
+            assert code in (0, 2, 3)
+            codes.add(code)
+            assert "Traceback" not in capsys.readouterr().err
+        assert codes == {0, 2, 3}
 
 
 class TestWilcoxonCommand:

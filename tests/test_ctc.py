@@ -95,6 +95,12 @@ class TestPosteriorgramType:
         with pytest.raises(ValueError):
             Posteriorgram((BLANK, "a"), np.array([[1.2, -0.2]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        rows = np.array([[0.5, 0.5], [bad, bad], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="row 1 has a non-finite"):
+            Posteriorgram((BLANK, "a"), rows)
+
 
 class TestSausageBuilder:
     def test_k1_linear(self):

@@ -9,12 +9,13 @@ from latfuse.formats import (
     parse_single,
     parse_word_graphs,
     read_transcriptions,
+    read_values,
     write_cn,
     write_pg,
     write_transcriptions,
     write_wg,
 )
-from latgen import random_cn, random_pg, random_wg
+from latgen import mutate_text, random_cn, random_pg, random_wg
 
 
 class TestScoreFormatting:
@@ -146,6 +147,93 @@ class TestPgFormat:
         text = f"PG p\nLABELS {BLANK} a\nROW 0.9 0.3\nEND\n"
         with pytest.raises(FormatError):
             parse_pgs(text)
+
+    def test_missing_labels_line(self):
+        with pytest.raises(FormatError) as err:
+            parse_pgs("PG p\nEND\n", source="f.pg")
+        assert err.value.line_no == 2
+        assert str(err.value) == "f.pg:2: record 'p' missing LABELS line"
+
+    @pytest.mark.parametrize("row", ["nan nan", "inf 0", "0.5 -inf"])
+    def test_non_finite_row(self, row):
+        text = f"PG p\nLABELS {BLANK} a\nROW 1 0\nROW {row}\nEND\n"
+        with pytest.raises(FormatError) as err:
+            parse_pgs(text, source="f.pg")
+        assert str(err.value) == "f.pg:1: row 1 has a non-finite activation"
+
+
+PARSERS = {"WG": parse_word_graphs, "CN": parse_cns, "PG": parse_pgs}
+
+
+class TestRecordFraming:
+    """The framing rules WG, CN and PG share, checked on every format."""
+
+    @pytest.mark.parametrize("head", sorted(PARSERS))
+    def test_nested_head(self, head):
+        with pytest.raises(FormatError) as err:
+            PARSERS[head](f"{head} a\n\n{head} b\nEND\n", source="f")
+        assert str(err.value) == f"f:3: {head} record not closed with END"
+
+    @pytest.mark.parametrize("head", sorted(PARSERS))
+    def test_unclosed_at_eof_names_head_line(self, head):
+        with pytest.raises(FormatError) as err:
+            PARSERS[head](f"# c\n{head} a\n", source="f")
+        assert str(err.value) == f"f:2: {head} record not closed with END"
+
+    @pytest.mark.parametrize("head", sorted(PARSERS))
+    def test_line_outside_record(self, head):
+        with pytest.raises(FormatError) as err:
+            PARSERS[head]("END\n", source="f")
+        assert str(err.value) == f"f:1: 'END' outside a {head} record"
+
+    @pytest.mark.parametrize("head", sorted(PARSERS))
+    def test_unknown_keyword(self, head):
+        with pytest.raises(FormatError) as err:
+            PARSERS[head](f"{head} a\nZ 1\nEND\n", source="f")
+        assert str(err.value) == "f:2: unknown keyword 'Z'"
+
+    @pytest.mark.parametrize("head", sorted(PARSERS))
+    def test_head_needs_one_name(self, head):
+        with pytest.raises(FormatError) as err:
+            PARSERS[head](f"{head} a b\nEND\n", source="f")
+        assert str(err.value) == f"f:1: expected: {head} <name>"
+
+    def test_hash_inside_label_is_not_a_comment(self):
+        (_, cn), = parse_cns("CN c\nS\nA C#4 1\nEND\n")
+        assert cn.subnetworks[0] == {"C#4": 1.0}
+
+
+class TestMutationFuzz:
+    """Corrupted files either parse or raise FormatError, nothing else."""
+
+    @pytest.mark.parametrize("head, make, write", [
+        ("WG", random_wg, write_wg),
+        ("CN", random_cn, write_cn),
+        ("PG", lambda rng: random_pg(rng, steps=3), write_pg),
+    ])
+    def test_parse_or_format_error(self, head, make, write):
+        rng = np.random.default_rng(91)
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in range(1000):
+            text = mutate_text(write(make(rng), "r") * 2, rng)
+            try:
+                records = PARSERS[head](text, source="m")
+            except FormatError:
+                outcomes["rejected"] += 1
+            else:
+                assert isinstance(records, list)
+                outcomes["parsed"] += 1
+        assert min(outcomes.values()) > 0
+
+
+class TestValues:
+    def test_skips_blanks_and_comments(self):
+        assert read_values("# head\n1\n\n  2.5  \n# tail\n") == [1.0, 2.5]
+
+    def test_bad_number_names_line(self):
+        with pytest.raises(FormatError) as err:
+            read_values("1\n# c\nbanana\n", source="v.txt")
+        assert str(err.value) == "v.txt:3: bad number 'banana'"
 
 
 class TestTranscriptions:

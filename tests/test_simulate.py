@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,27 @@ class TestScenarioRun:
         assert a == b
         assert "SCENARIO 4" in a
         assert "METHOD image SCENARIO 4 ALPHA 1" in a
+
+
+class TestCalibrationCache:
+    def test_key_is_what_calibration_reads(self, monkeypatch):
+        import latfuse.simulate as simulate
+
+        calls = []
+
+        def recorder(spec, level):
+            calls.append((spec.confusion_width, spec.branching, level))
+            return 0.1
+
+        monkeypatch.setattr(simulate, "calibrated_rate", recorder)
+        monkeypatch.setattr(simulate, "run_scenario",
+                            lambda spec, sid, **kw: kw["noise_rates"])
+        base = small_spec(image_level="Medium", audio_level="Medium")
+        specs = [base, replace(base, confusion_width=1),
+                 replace(base, branching=2)]
+        assert run_scenario_grid(specs) == [(0.1, 0.1)] * 3
+        # confusion_width is read by calibration, branching is not
+        assert calls == [(2, 3, "Medium"), (1, 3, "Medium")]
 
 
 class TestDumpReplay:
