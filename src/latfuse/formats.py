@@ -46,10 +46,10 @@ def _record_lines(text: str, source, head: str, body: tuple):
     """Yield (line_no, keyword, args) for each content line of ``head`` records.
 
     Owns the record framing shared by the WG, CN and PG formats: ``<head>
-    <name>`` opens a record, ``END`` closes it, records do not nest, and only
-    the ``body`` keywords may appear in between.  The head line comes out as
-    (no, head, [name]), the closing one as (no, "END", args).  Lines are
-    yielded one at a time, so every error surfaces in file order.
+    <name>`` opens a record, a bare ``END`` closes it, records do not nest,
+    and only the ``body`` keywords may appear in between.  The head line
+    comes out as (no, head, [name]), the closing one as (no, "END", []).
+    Lines are yielded one at a time, so every error surfaces in file order.
     """
     open_at = None
     for no, line in _content_lines(text):
@@ -64,6 +64,8 @@ def _record_lines(text: str, source, head: str, body: tuple):
         elif open_at is None:
             raise FormatError(source, no, f"{kw!r} outside a {head} record")
         elif kw == "END":
+            if args:
+                raise FormatError(source, no, "expected: END")
             open_at = None
         elif kw not in body:
             raise FormatError(source, no, f"unknown keyword {kw!r}")

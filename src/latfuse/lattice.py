@@ -12,6 +12,7 @@ function, so values can be shared freely across threads.
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -385,44 +386,6 @@ def _posteriors_from_log(logscores: Iterable[float]) -> list[float]:
     return [w / total for w in weights]
 
 
-def _align_to_pivot(pivot: tuple, other: tuple) -> list[tuple]:
-    """Minimum-edit alignment of ``other`` against ``pivot``.
-
-    Returns forward-ordered ops: ('m', i, j) for a match/substitution,
-    ('d', i) when pivot position i faces a gap, ('i', g, j) when other[j]
-    is inserted into pivot gap g (i.e. before pivot position g).  Backtrace
-    ties prefer match/substitution, then the pivot gap, then insertion.
-    """
-    p, q = len(pivot), len(other)
-    dist = [[0] * (q + 1) for _ in range(p + 1)]
-    for i in range(p + 1):
-        dist[i][0] = i
-    for j in range(q + 1):
-        dist[0][j] = j
-    for i in range(1, p + 1):
-        row, prev = dist[i], dist[i - 1]
-        for j in range(1, q + 1):
-            cost = 0 if pivot[i - 1] == other[j - 1] else 1
-            row[j] = min(prev[j - 1] + cost, prev[j] + 1, row[j - 1] + 1)
-    ops = []
-    i, j = p, q
-    while i > 0 or j > 0:
-        cur = dist[i][j]
-        if i > 0 and j > 0 and cur == dist[i - 1][j - 1] + (
-            0 if pivot[i - 1] == other[j - 1] else 1
-        ):
-            ops.append(("m", i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and cur == dist[i - 1][j] + 1:
-            ops.append(("d", i - 1))
-            i -= 1
-        else:
-            ops.append(("i", i, j - 1))
-            j -= 1
-    ops.reverse()
-    return ops
-
-
 def cn_from_wg(wg: WordGraph, max_paths: int = 100) -> ConfusionNetwork:
     """Convert a word graph to a confusion network by pivot alignment.
 
@@ -434,23 +397,17 @@ def cn_from_wg(wg: WordGraph, max_paths: int = 100) -> ConfusionNetwork:
     are renormalized over the retained path set, and every subnetwork is
     renormalized to sum to 1.
     """
+    from .align import _align_to_pivot  # align imports this module
+
     paths = n_best_paths(wg, max_paths)
     posts = _posteriors_from_log([ls for _, ls in paths])
     pivot = paths[0][0].labels
 
-    all_ops = [[("m", i, i) for i in range(len(pivot))]]
-    all_ops += [
-        _align_to_pivot(pivot, seq.labels) for seq, _ in paths[1:]
-    ]
+    all_ops = _align_to_pivot(pivot, [seq.labels for seq, _ in paths])
 
     max_ins = [0] * (len(pivot) + 1)
     for ops in all_ops:
-        seen = {}
-        for op in ops:
-            if op[0] == "i":
-                g = op[1]
-                seen[g] = seen.get(g, 0) + 1
-        for g, cnt in seen.items():
+        for g, cnt in Counter(op[1] for op in ops if op[0] == "i").items():
             max_ins[g] = max(max_ins[g], cnt)
 
     # Global column order: gap-0 slots, pivot 0, gap-1 slots, pivot 1, ...

@@ -308,8 +308,9 @@ class ScenarioReport:
     wilcoxon: dict
 
     def __post_init__(self):
-        assert all(v >= 0 for v in self.baseline_ser.values())
-        assert all(v >= 0 for v in self.cells.values())
+        for v in (*self.baseline_ser.values(), *self.cells.values()):
+            if not v >= 0:  # also rejects NaN
+                raise ValueError(f"SER must be a number >= 0, got {v!r}")
 
 
 def _trial_rng(seed: int, scenario_id: int, trial: int):

@@ -31,6 +31,11 @@ def dfs_paths(wg):
 
 def simple_ed(a, b):
     """Full-matrix Levenshtein over any two sequences."""
+    return ed_table(a, b)[len(a)][len(b)]
+
+
+def ed_table(a, b):
+    """The whole Levenshtein table: d[i][j] for prefixes a[:i] and b[:j]."""
     a, b = list(a), list(b)
     d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
     for i in range(len(a) + 1):
@@ -44,7 +49,32 @@ def simple_ed(a, b):
                 d[i][j - 1] + 1,
                 d[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
-    return d[len(a)][len(b)]
+    return d
+
+
+def pivot_alignment(pivot, other):
+    """Backtrace of the full table from the end, one cell at a time.
+
+    Ops as in confusion-network construction: ('m', i, j) match or
+    substitution, ('d', i) pivot position i against a gap, ('i', g, j)
+    other[j] inserted before pivot position g.  Among the moves that
+    reproduce a cell's value, the first of match/substitution, pivot gap,
+    insertion wins.
+    """
+    d = ed_table(pivot, other)
+    i, j, ops = len(pivot), len(other), []
+    while (i, j) != (0, 0):
+        moves = []
+        if i and j:
+            step = d[i - 1][j - 1] + (pivot[i - 1] != other[j - 1])
+            moves.append((step, ("m", i - 1, j - 1), i - 1, j - 1))
+        if i:
+            moves.append((d[i - 1][j] + 1, ("d", i - 1), i - 1, j))
+        if j:
+            moves.append((d[i][j - 1] + 1, ("i", i, j - 1), i, j - 1))
+        _, op, i, j = next(m for m in moves if m[0] == d[i][j])
+        ops.insert(0, op)
+    return ops
 
 
 def best_path_by_enumeration(wg):

@@ -15,9 +15,11 @@ from latfuse import (
     smith_waterman,
     subnetwork_distance,
 )
-from latfuse.align import edit_distance_matrix
+from latfuse.align import _align_to_pivot, edit_distance_matrix
 from latgen import random_cn, random_wg
-from oracles import dfs_paths, dtw_min_cost, simple_ed, sw_best_score
+from oracles import (
+    dfs_paths, dtw_min_cost, pivot_alignment, simple_ed, sw_best_score,
+)
 
 RNG_TOKENS = ("a", "b", "c", "d")
 
@@ -68,9 +70,58 @@ class TestEditDistance:
         got = edit_distance_matrix([("a", "b")], refs)[0]
         assert list(got) == [1, 0, 2]
 
+    def test_empty_batches_and_sequences(self):
+        assert edit_distance_matrix([], [("a",)]).shape == (0, 1)
+        assert edit_distance_matrix([("a",)], []).shape == (1, 0)
+        got = edit_distance_matrix([(), ("a", "b")], [(), ("b",), ("a", "b", "c")])
+        assert got.tolist() == [[0, 1, 3], [2, 1, 1]]
+
     def test_accepts_symbol_sequences(self):
         a = SymbolSequence(("a", "b"))
         assert edit_distance(a, ("a", "c")) == 1
+
+
+class TestPivotAlignment:
+    def test_matches_full_matrix_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(600):
+            # two or three letters, so equal-cost backtraces are common
+            alphabet = RNG_TOKENS[: int(rng.integers(2, 4))]
+            seq = lambda: tuple(rng.choice(alphabet, size=rng.integers(0, 8)))
+            pivot = seq()
+            others = [seq() for _ in range(int(rng.integers(0, 6)))]
+            got = _align_to_pivot(pivot, others)
+            assert got == [pivot_alignment(pivot, o) for o in others]
+
+    def test_ops_rebuild_other_at_edit_cost(self):
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            seq = lambda: tuple(rng.choice(("a", "b"), size=rng.integers(0, 9)))
+            pivot, others = seq(), [seq() for _ in range(4)]
+            for other, ops in zip(others, _align_to_pivot(pivot, others)):
+                consumed, rebuilt, cost = 0, [], 0
+                for op in ops:
+                    # ops walk the pivot left to right; a gap g sits
+                    # after the g pivot positions already consumed
+                    assert op[1] == consumed
+                    consumed += op[0] != "i"
+                    if op[0] == "m":
+                        cost += pivot[op[1]] != other[op[2]]
+                    else:
+                        cost += 1
+                    if op[0] != "d":
+                        assert op[-1] == len(rebuilt)
+                        rebuilt.append(other[op[-1]])
+                assert consumed == len(pivot)
+                assert tuple(rebuilt) == other
+                assert cost == simple_ed(pivot, other)
+
+    def test_pivot_against_itself_is_all_matches(self):
+        # cn_from_wg aligns the pivot path along with the others
+        pivot = ("a", "b", "a")
+        assert _align_to_pivot(pivot, [pivot]) == [
+            [("m", 0, 0), ("m", 1, 1), ("m", 2, 2)]
+        ]
 
 
 class TestNormalizedCharEd:

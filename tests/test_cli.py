@@ -134,6 +134,14 @@ class TestErrorPaths:
         assert run(["wg-best-path", "--wg", str(bad)]) == 2
         assert ":5:" in capsys.readouterr().err
 
+    def test_tokens_after_end_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wg"
+        bad.write_text("WG x\nV 2\nI 0\nF 1\nE 0 1 a 1\nEND junk\n")
+        assert run(["wg-best-path", "--wg", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"latfuse: {bad}:6: expected: END\n"
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["wg-best-path", "--wg", str(tmp_path / "nope.wg")]) == 2
 

@@ -198,6 +198,12 @@ class TestRecordFraming:
             PARSERS[head](f"{head} a b\nEND\n", source="f")
         assert str(err.value) == f"f:1: expected: {head} <name>"
 
+    @pytest.mark.parametrize("head", sorted(PARSERS))
+    def test_end_takes_no_arguments(self, head):
+        with pytest.raises(FormatError) as err:
+            PARSERS[head](f"{head} a\nEND junk\n", source="f")
+        assert str(err.value) == "f:2: expected: END"
+
     def test_hash_inside_label_is_not_a_comment(self):
         (_, cn), = parse_cns("CN c\nS\nA C#4 1\nEND\n")
         assert cn.subnetworks[0] == {"C#4": 1.0}

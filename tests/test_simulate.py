@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +213,33 @@ class TestScenarioRun:
         assert a == b
         assert "SCENARIO 4" in a
         assert "METHOD image SCENARIO 4 ALPHA 1" in a
+
+
+class TestScenarioReportChecks:
+    """Negative or NaN SERs are rejected by a check that ``-O`` keeps."""
+
+    BUILD = (
+        "from latfuse.simulate import ScenarioReport, grid_specs\n"
+        "ScenarioReport(0, grid_specs(1, 7)[0], 0.1, 0.1, (0.5,), {bad}, {{}},"
+        " {cells}, {{}}, {{}}, {{}})\n"
+    )
+
+    @pytest.mark.parametrize("baseline, cells", [
+        ("{'image': -1.0}", "{}"),
+        ("{}", "{('mbr', 0.5): float('nan')}"),
+    ])
+    def test_rejected_in_process_and_under_O(self, baseline, cells):
+        code = self.BUILD.format(bad=baseline, cells=cells)
+        with pytest.raises(ValueError, match="SER must be a number >= 0"):
+            exec(code, {})
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ValueError: SER must be a number >= 0" in proc.stderr
 
 
 class TestCalibrationCache:
