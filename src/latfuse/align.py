@@ -16,26 +16,47 @@ from .errors import NoCompletePathError
 from .lattice import EPS, SymbolSequence, WordGraph, topological_order
 
 
+def _myers_block(eq, pv, mv, hp_in, hm_in, full, top):
+    """One text token through one block of Myers' bit-vector Levenshtein.
+
+    Bit k of ``pv``/``mv`` says the pattern DP column steps +1/-1 from row
+    k to row k + 1; ``eq`` marks the pattern positions equal to the token.
+    ``hp_in``/``hm_in`` (0 or 1) say the horizontal delta entering the
+    block's lowest row is +1/-1, and the returned pair says the same of the
+    delta leaving its top row (bit ``top``), for the next block (Myers 1999;
+    Hyyrö 2003; edlib's ``calculateBlock``).  ``full`` masks the block's
+    width.  Only ``& | ^ ~ + << >>`` are used, so the same code runs on one
+    Python int of any width and on uint64 numpy arrays of 64-bit words.
+    """
+    xv = eq | mv
+    eq = eq | hm_in
+    xh = (((eq & pv) + pv) ^ pv) | eq
+    ph = (mv | ~(xh | pv)) & full
+    mh = pv & xh
+    hp_out, hm_out = (ph >> top) & 1, (mh >> top) & 1
+    ph = (ph << 1) | hp_in
+    mh = (mh << 1) | hm_in
+    return (mh | ~(xv | ph)) & full, ph & xv, hp_out, hm_out
+
+
 def edit_distance(a, b) -> int:
     """Levenshtein distance between two token sequences (unit costs).
 
-    Accepts SymbolSequence or any sequence of tokens; compares labels only.
-    This is the single-pair DP; batches go through ``_levenshtein_rows``.
+    Accepts SymbolSequence or any sequence of hashable tokens; compares
+    labels only.  The shorter sequence is the bit-vector pattern, held as
+    one Python int; batches go through ``edit_distance_matrix``.
     """
     xa, xb = _label_tuple(a), _label_tuple(b)
     if len(xa) < len(xb):
         xa, xb = xb, xa
-    prev = list(range(len(xb) + 1))
-    for i, ta in enumerate(xa, 1):
-        cur = [i] + [0] * len(xb)
-        for j, tb in enumerate(xb, 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ta != tb),
-            )
-        prev = cur
-    return prev[-1]
+    peq = {}
+    for k, tok in enumerate(xb):
+        peq[tok] = peq.get(tok, 0) | (1 << k)
+    full, top = (1 << len(xb)) - 1, max(len(xb) - 1, 0)
+    pv, mv = full, 0
+    for tok in xa:
+        pv, mv, _, _ = _myers_block(peq.get(tok, 0), pv, mv, 1, 0, full, top)
+    return len(xa) + pv.bit_count() - mv.bit_count()
 
 
 def _label_tuple(seq):
@@ -54,67 +75,76 @@ def _encode(seqs, ids):
     return mat
 
 
-def _levenshtein_rows(cands, refs):
-    """Batched Levenshtein DP over label tuples, one candidate row at a time.
-
-    Yields D_i for i = 0 .. longest candidate: a fresh int64 block of shape
-    (len(cands), len(refs), longest ref + 1) where D_i[c, r, j] is the
-    distance between the first i tokens of cands[c] and the first j tokens
-    of refs[r].  Rows advance over candidate prefixes while refs and their
-    positions stay vectorized; the in-row dependency D[i][j] =
-    min(V[j], D[i][j-1] + 1) closes with a running minimum over V[j] - j.
-    Cells past the end of a candidate or ref hold padding garbage.
-    """
-    ids = {}
-    cmat, rmat = _encode(cands, ids), _encode(refs, ids)
-    j_range = np.arange(rmat.shape[1] + 1)
-    shape = (len(cands), len(refs), len(j_range))
-    # The extra copy frees one working-size block up front for the row
-    # temporaries to reuse: 4 MB less peak RSS on a 200 x 100 matrix.
-    dist = np.broadcast_to(j_range, shape).astype(np.int64).copy()
-    yield dist
-    for i in range(1, cmat.shape[1] + 1):
-        tok = cmat[:, i - 1]
-        sub = dist[:, :, :-1] + (rmat[np.newaxis, :, :] != tok[:, np.newaxis, np.newaxis])
-        best = np.minimum(dist[:, :, 1:] + 1, sub)
-        work = np.empty_like(dist)
-        work[:, :, 0] = i
-        work[:, :, 1:] = best
-        dist = np.minimum.accumulate(work - j_range, axis=2) + j_range
-        yield dist
-
-
 def edit_distance_matrix(cands, refs) -> np.ndarray:
     """Pairwise Levenshtein distances, candidates by rows, refs by columns.
 
-    Equivalent to nested ``edit_distance`` calls, but one batched
-    ``_levenshtein_rows`` sweep serves every pair: row i of the result is
-    read from the block after candidate i's last token.  This is what makes
-    risk evaluation over hundreds of lattice paths affordable.
+    Equivalent to nested ``edit_distance`` calls (tokens must be hashable)
+    but batched: the refs are the bit-vector pattern, in 64-bit words, and
+    each candidate token advances every (candidate, ref) pair through
+    ``_myers_block`` at once.  Row i of the result is read after candidate
+    i's last token.  This is what makes risk evaluation over hundreds of
+    lattice paths affordable.
     """
     cand_seqs = [_label_tuple(c) for c in cands]
     ref_seqs = [_label_tuple(r) for r in refs]
-    out = np.zeros((len(cand_seqs), len(ref_seqs)), dtype=np.int64)
+    ids = {}
+    rmat, cmat = _encode(ref_seqs, ids), _encode(cand_seqs, ids)
+    # peq[w, t, r]: bits of ref r's word w that hold token t.  Padding (-1)
+    # lands in the extra last row, which is cleared so it matches nothing.
+    peq = np.zeros((-(-rmat.shape[1] // 64), len(ids) + 1, len(ref_seqs)),
+                   dtype=np.uint64)
+    ref_idx = np.arange(len(ref_seqs))
+    for k in range(rmat.shape[1]):
+        peq[k // 64, rmat[:, k], ref_idx] |= np.uint64(1 << (k % 64))
+    peq[:, -1] = 0
+    valid = np.bitwise_or.reduce(peq, axis=1)
+    shape = (len(cand_seqs), len(ref_seqs))
+    full = (1 << 64) - 1
+    pv = [np.full(shape, full, dtype=np.uint64)] * len(peq)
+    mv = [np.zeros(shape, dtype=np.uint64)] * len(peq)
     clens = np.array([len(c) for c in cand_seqs])
-    ref_idx, ref_lens = np.arange(len(ref_seqs)), [len(r) for r in ref_seqs]
-    for i, dist in enumerate(_levenshtein_rows(cand_seqs, ref_seqs)):
-        out[clens == i] = dist[clens == i][:, ref_idx, ref_lens]
+    out = np.zeros(shape, dtype=np.int64)
+    for i in range(cmat.shape[1] + 1):
+        if i:
+            hp, hm = 1, 0  # the empty ref prefix costs one more per token
+            for w, eq in enumerate(peq[:, cmat[:, i - 1]]):
+                pv[w], mv[w], hp, hm = _myers_block(
+                    eq, pv[w], mv[w], hp, hm, full, 63
+                )
+        done = clens == i
+        out[done] = i + sum(
+            np.bitwise_count(p[done] & v).astype(np.int64)
+            - np.bitwise_count(m[done] & v)
+            for p, m, v in zip(pv, mv, valid)
+        )
     return out
 
 
 def _align_to_pivot(pivot: tuple, others: list) -> list[list[tuple]]:
     """Minimum-edit alignment of each label tuple in ``others`` to ``pivot``.
 
-    One ``_levenshtein_rows`` sweep with the pivot as the only candidate
-    fills every DP table at once.  Per other, returns forward-ordered ops:
-    ('m', i, j) for a match/substitution, ('d', i) when pivot position i
-    faces a gap, ('i', g, j) when other[j] is inserted into pivot gap g
+    One integer row DP fills every other's table at once: rows advance over
+    pivot positions while the others and their positions stay vectorized,
+    and the in-row dependency D[i][j] = min(V[j], D[i][j-1] + 1) closes with
+    a running minimum over V[j] - j.  Per other, returns forward-ordered
+    ops: ('m', i, j) for a match/substitution, ('d', i) when pivot position
+    i faces a gap, ('i', g, j) when other[j] is inserted into pivot gap g
     (before pivot position g).  Backtrace ties prefer match/substitution,
     then the pivot gap, then insertion.
     """
-    rows = np.stack(list(_levenshtein_rows([pivot], others)), axis=2)[0]
+    ids = {}
+    omat = _encode(others, ids)
+    j_range = np.arange(omat.shape[1] + 1)
+    dist = np.tile(j_range, (len(others), 1))
+    tables = [dist]
+    for i, tok in enumerate(_encode([pivot], ids)[0], 1):
+        work = np.empty_like(dist)
+        work[:, 0] = i
+        work[:, 1:] = np.minimum(dist[:, 1:] + 1, dist[:, :-1] + (omat != tok))
+        dist = np.minimum.accumulate(work - j_range, axis=1) + j_range
+        tables.append(dist)
     all_ops = []
-    for other, dist in zip(others, rows.tolist()):
+    for other, dist in zip(others, np.stack(tables, axis=1).tolist()):
         ops = []
         i, j = len(pivot), len(other)
         while i > 0 or j > 0:

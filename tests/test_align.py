@@ -81,6 +81,57 @@ class TestEditDistance:
         assert edit_distance(a, ("a", "c")) == 1
 
 
+# lengths at and around the 64-bit word boundaries of the batched kernel
+BOUNDARY_LENGTHS = (0, 1, 63, 64, 65, 127, 128, 129)
+
+
+class TestEditDistanceWordBoundaries:
+    def test_single_pairs_at_boundaries(self):
+        rng = np.random.default_rng(51)
+        for la in BOUNDARY_LENGTHS:
+            for lb in BOUNDARY_LENGTHS:
+                alphabet = RNG_TOKENS[: int(rng.integers(1, 4))]
+                a = tuple(rng.choice(alphabet, size=la))
+                b = tuple(rng.choice(alphabet, size=lb))
+                want = simple_ed(a, b)
+                assert edit_distance(a, b) == edit_distance(b, a) == want
+                assert edit_distance_matrix([a], [b])[0, 0] == want
+                assert edit_distance_matrix([b], [a])[0, 0] == want
+
+    def test_mixed_lengths_in_one_batch(self):
+        # several words, padding rows and padded candidate steps at once
+        rng = np.random.default_rng(52)
+        for _ in range(6):
+            alphabet = RNG_TOKENS[: int(rng.integers(1, 4))]
+            seq = lambda: tuple(
+                rng.choice(alphabet, size=rng.choice(BOUNDARY_LENGTHS))
+            )
+            cands = [seq() for _ in range(int(rng.integers(2, 6)))]
+            refs = [seq() for _ in range(int(rng.integers(2, 6)))]
+            want = [[simple_ed(c, r) for r in refs] for c in cands]
+            assert edit_distance_matrix(cands, refs).tolist() == want
+
+    @pytest.mark.parametrize("long_side", ["cands", "refs"])
+    def test_one_side_longer_than_the_other(self, long_side):
+        rng = np.random.default_rng(53)
+        short = [tuple(rng.choice(RNG_TOKENS[:3], size=n)) for n in (0, 3, 20)]
+        long = [tuple(rng.choice(RNG_TOKENS[:3], size=n)) for n in (70, 130)]
+        cands, refs = (long, short) if long_side == "cands" else (short, long)
+        want = [[simple_ed(c, r) for r in refs] for c in cands]
+        assert edit_distance_matrix(cands, refs).tolist() == want
+
+    def test_int_tokens(self):
+        rng = np.random.default_rng(54)
+        seqs = [
+            tuple(rng.integers(0, 3, size=n).tolist())
+            for n in (0, 5, 64, 65, 129)
+        ]
+        got = edit_distance_matrix(seqs, seqs)
+        for i, a in enumerate(seqs):
+            for j, b in enumerate(seqs):
+                assert got[i, j] == edit_distance(a, b) == simple_ed(a, b)
+
+
 class TestPivotAlignment:
     def test_matches_full_matrix_oracle(self):
         rng = np.random.default_rng(41)
