@@ -97,8 +97,8 @@ class MbrTables:
         post_a = np.array([hyp_a[r] for r in refs_a])
         self.risk_i = edit_distance_matrix(self.candidates, refs_i) @ post_i
         self.risk_a = edit_distance_matrix(self.candidates, refs_a) @ post_a
-        self._post_i = hyp_i
-        self._post_a = hyp_a
+        self._cand_post_i = np.array([hyp_i.get(c, 0.0) for c in self.candidates])
+        self._cand_post_a = np.array([hyp_a.get(c, 0.0) for c in self.candidates])
 
     def decode(self, alpha: float) -> SymbolSequence:
         """Candidate with minimum alpha-weighted expected edit distance.
@@ -107,17 +107,10 @@ class MbrTables:
         posterior, then to the lexicographically smallest label sequence.
         """
         risk = alpha * self.risk_i + (1.0 - alpha) * self.risk_a
-        best = min(
-            range(len(self.candidates)),
-            key=lambda k: (
-                risk[k],
-                -(
-                    alpha * self._post_i.get(self.candidates[k], 0.0)
-                    + (1.0 - alpha) * self._post_a.get(self.candidates[k], 0.0)
-                ),
-                self.candidates[k],
-            ),
-        )
+        wpost = alpha * self._cand_post_i + (1.0 - alpha) * self._cand_post_a
+        # lexsort is stable and candidates are sorted, so index order is the
+        # lexicographic tie-break
+        best = np.lexsort((-wpost, risk))[0]
         return SymbolSequence(self.candidates[best])
 
 

@@ -7,7 +7,12 @@ confusion network (CN) is the "sausage" form of the same search space: a
 totally ordered list of subnetworks, each a normalized label distribution.
 
 All types are immutable after construction and every operation is a pure
-function, so values can be shared freely across threads.
+function, so values can be shared freely across threads.  The one piece of
+hidden state is a memo: ``best_path`` and ``n_best_paths`` keep each decoded
+path list on the ``WordGraph`` instance (in its ``__dict__``, outside the
+dataclass fields, so equality, hashing and results are unaffected) and hand
+out copies.  The memo lives and dies with the graph; two threads racing on
+it at worst decode the same list twice.
 """
 
 import heapq
@@ -272,98 +277,67 @@ def enumerate_paths(wg: WordGraph, limit: int) -> list[tuple[SymbolSequence, flo
 def best_path(wg: WordGraph) -> tuple[SymbolSequence, float]:
     """Maximum-likelihood complete path and its log score.
 
-    Runs a single dynamic program in topological order; products are taken in
-    log space.  Exact score ties are broken by the lexicographically smallest
-    vertex-id sequence, then label sequence, so results are reproducible.
+    The 1-best of ``n_best_paths``: exact score ties are broken by the
+    lexicographically smallest vertex-id sequence, then label sequence, so
+    results are reproducible.
     """
-    order = topological_order(wg)
-    if order is None:
-        raise NoCompletePathError("word graph has a cycle")
-    adj = wg.out_edges()
-    # state[v] = (logscore, vid path, labels, edge scores); compare by
-    # (-logscore, vids, labels) and keep the minimum.
-    state = [None] * wg.num_vertices
-    state[wg.initial] = (0.0, (wg.initial,), (), ())
-    for v in order:
-        sv = state[v]
-        if sv is None:
-            continue
-        logscore, vids, labels, scores = sv
-        for e in adj[v]:
-            cand = (
-                logscore + math.log(e.score),
-                vids + (e.dst,),
-                labels + (e.label,),
-                scores + (e.score,),
-            )
-            cur = state[e.dst]
-            if cur is None or _path_key(cand) < _path_key(cur):
-                state[e.dst] = cand
-    best = None
-    for f in wg.finals:
-        sf = state[f]
-        if sf is not None and (best is None or _path_key(sf) < _path_key(best)):
-            best = sf
-    if best is None:
-        raise NoCompletePathError("word graph has no complete path")
-    logscore, _vids, labels, scores = best
-    return SymbolSequence(labels, scores), logscore
-
-
-def _path_key(state):
-    logscore, vids, labels, _scores = state
-    return (-logscore, vids, labels)
+    return _k_best(wg, 1)[0]
 
 
 def n_best_paths(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
     """Up to ``n`` highest-scoring complete paths with their log scores.
 
-    A* over partial paths with the exact best-completion heuristic, so paths
-    come out in descending score order (ties: lexicographic vertex-id then
-    label sequence).  Returns all complete paths when the lattice holds fewer
-    than ``n``.
+    Paths come out in descending score order (ties: lexicographic vertex-id
+    then label sequence).  Returns all complete paths when the lattice holds
+    fewer than ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _k_best(wg, n)
+
+
+def _k_best(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
+    """The ``n`` best complete paths by one k-best DP in topological order.
+
+    Each vertex keeps its ``n`` best prefixes as ``(-logscore, vids, labels,
+    scores)`` tuples with log scores summed in path order, so tuple order is
+    the documented order.  Two prefixes ending at the same vertex keep their
+    order under any common extension (up to rounding of the sums), which
+    makes the per-vertex truncation exact.  A path stops at the first final
+    vertex it reaches.  The result is memoized per ``n`` in the graph's
+    ``__dict__``; callers get a fresh list.
+    """
+    memo = wg.__dict__.setdefault("_k_best", {})
+    if n in memo:
+        return list(memo[n])
     order = topological_order(wg)
     if order is None:
         raise NoCompletePathError("word graph has a cycle")
     adj = wg.out_edges()
-    comp = [-math.inf] * wg.num_vertices
-    for f in wg.finals:
-        comp[f] = 0.0
-    for v in reversed(order):
-        for e in adj[v]:
-            cand = math.log(e.score) + comp[e.dst]
-            if cand > comp[v]:
-                comp[v] = cand
-    if comp[wg.initial] == -math.inf:
-        raise NoCompletePathError("word graph has no complete path")
-
-    results = []
-    start = (-comp[wg.initial], (wg.initial,), (), (), 0.0)
-    heap = [start]
-    while heap and len(results) < n:
-        neg_est, vids, labels, scores, logscore = heapq.heappop(heap)
-        v = vids[-1]
+    state = [[] for _ in range(wg.num_vertices)]
+    state[wg.initial].append((0.0, (wg.initial,), (), ()))
+    complete = []
+    for v in order:
+        kept = sorted(state[v])[:n]
+        state[v] = None  # released: each prefix is now extended or complete
         if v in wg.finals:
-            results.append((SymbolSequence(labels, scores), logscore))
+            complete += kept
             continue
         for e in adj[v]:
-            if comp[e.dst] == -math.inf:
-                continue
-            g = logscore + math.log(e.score)
-            heapq.heappush(
-                heap,
-                (
-                    -(g + comp[e.dst]),
-                    vids + (e.dst,),
-                    labels + (e.label,),
-                    scores + (e.score,),
-                    g,
-                ),
-            )
-    return results
+            cost = math.log(e.score)
+            state[e.dst] += [
+                (neg - cost, vids + (e.dst,), labels + (e.label,),
+                 scores + (e.score,))
+                for neg, vids, labels, scores in kept
+            ]
+    if not complete:
+        raise NoCompletePathError("word graph has no complete path")
+    # 0.0 - neg keeps an all-1.0 path's log score at +0.0, not -0.0
+    memo[n] = [
+        (SymbolSequence(labels, scores), 0.0 - neg)
+        for neg, _vids, labels, scores in sorted(complete)[:n]
+    ]
+    return list(memo[n])
 
 
 def path_posteriors(paths: list[tuple[SymbolSequence, float]]) -> list[float]:

@@ -9,8 +9,12 @@ import itertools
 import math
 
 
-def dfs_paths(wg):
-    """All complete paths by plain recursion: (vids, labels, product score)."""
+def dfs_paths(wg, log=False):
+    """All complete paths by plain recursion: (vids, labels, score).
+
+    The score is the product of the edge scores, or with ``log`` the sum of
+    their logs taken in path order.
+    """
     adj = {}
     for e in wg.edges:
         adj.setdefault(e.src, []).append(e)
@@ -18,14 +22,15 @@ def dfs_paths(wg):
         lst.sort(key=lambda e: (e.dst, e.label, e.score))
     out = []
 
-    def go(v, vids, labels, prod):
+    def go(v, vids, labels, acc):
         if v in wg.finals:
-            out.append((tuple(vids), tuple(labels), prod))
+            out.append((tuple(vids), tuple(labels), acc))
             return
         for e in adj.get(v, []):
-            go(e.dst, vids + [e.dst], labels + [e.label], prod * e.score)
+            step = acc + math.log(e.score) if log else acc * e.score
+            go(e.dst, vids + [e.dst], labels + [e.label], step)
 
-    go(wg.initial, [wg.initial], [], 1.0)
+    go(wg.initial, [wg.initial], [], 0.0 if log else 1.0)
     return out
 
 
@@ -82,6 +87,15 @@ def best_path_by_enumeration(wg):
     paths = dfs_paths(wg)
     assert paths
     return min(paths, key=lambda p: (-p[2], p[0], p[1]))
+
+
+def n_best_by_enumeration(wg, n):
+    """The ``n`` best complete paths: (vids, labels, log score).
+
+    Ranked by the log score summed in path order (descending), then vertex
+    ids, then labels.
+    """
+    return sorted(dfs_paths(wg, log=True), key=lambda p: (-p[2], p[0], p[1]))[:n]
 
 
 def nearest_path_by_enumeration(wg, seq):

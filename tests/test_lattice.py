@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from latfuse import (
     validate_cn,
     validate_wg,
 )
+from latfuse import lattice
 from latgen import random_wg
-from oracles import best_path_by_enumeration, dfs_paths
+from oracles import best_path_by_enumeration, dfs_paths, n_best_by_enumeration
 
 
 def minimal_wg():
@@ -34,6 +36,28 @@ def diamond_wg():
     # parallel branches a/b, shared tail c
     return WordGraph(
         4, 0, {3}, [(0, 1, "a", 0.6), (0, 1, "b", 0.4), (1, 3, "c", 0.9)]
+    )
+
+
+def tie_wg():
+    # not a sausage; f f a f and d e a f tie at 1/32, and f f a f has the
+    # smaller vertex ids (0 1 2 6 7 against 0 3 4 6 7), so it heads the ranking
+    return WordGraph(
+        8, 0, {7},
+        [(0, 1, "f", 0.5), (1, 2, "f", 1.0), (2, 3, "a", 0.25),
+         (3, 4, "e", 0.5), (4, 5, "a", 1.0), (5, 6, "d", 0.5),
+         (6, 7, "f", 0.25), (4, 6, "a", 1.0), (3, 6, "e", 0.5),
+         (2, 6, "a", 0.25), (0, 3, "d", 0.25), (1, 3, "f", 0.25)],
+    )
+
+
+def dyadic_wg(rng):
+    """random_wg with scores drawn from {0.25, 0.5, 1.0}: exact ties abound."""
+    wg = random_wg(rng)
+    return WordGraph(
+        wg.num_vertices, wg.initial, wg.finals,
+        [e._replace(score=float(rng.choice((0.25, 0.5, 1.0))))
+         for e in wg.edges],
     )
 
 
@@ -174,6 +198,12 @@ class TestBestPath:
         with pytest.raises(NoCompletePathError):
             best_path(wg)
 
+    def test_all_one_path_scores_positive_zero(self):
+        # the CLI prints LOGSCORE 0 here, never -0
+        wg = WordGraph(3, 0, {2}, [(0, 1, "a", 1.0), (1, 2, "b", 1.0)])
+        _, logscore = best_path(wg)
+        assert logscore == 0.0 and math.copysign(1.0, logscore) == 1.0
+
 
 class TestNBest:
     def test_matches_sorted_enumeration(self):
@@ -189,6 +219,112 @@ class TestNBest:
             for (seq, logscore), (_, labels, prod) in zip(got, all_paths):
                 assert seq.labels == labels
                 assert abs(math.exp(logscore) - prod) < 1e-9
+
+
+    def test_tie_order_matches_enumeration(self):
+        # the full ranking, so that every exact tie has to come out in
+        # vertex-id then label order
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            wg = dyadic_wg(rng)
+            ranked = [
+                (labels, logscore)
+                for _, labels, logscore in n_best_by_enumeration(
+                    wg, count_paths(wg))
+            ]
+            got = n_best_paths(wg, len(ranked))
+            assert [(seq.labels, ls) for seq, ls in got] == ranked
+            seq, logscore = best_path(wg)
+            assert (seq.labels, logscore) == ranked[0]
+
+    def test_tie_order_pinned(self):
+        wg = tie_wg()
+        ranked = n_best_by_enumeration(wg, count_paths(wg))
+        assert ranked[0][1] == ("f", "f", "a", "f")
+        got = n_best_paths(wg, 100)
+        assert [(seq.labels, ls) for seq, ls in got] == [
+            (labels, ls) for _, labels, ls in ranked
+        ]
+        assert best_path(wg) == got[0]
+
+    def test_n_below_one(self):
+        wg = diamond_wg()
+        n_best_paths(wg, 1)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                n_best_paths(wg, n)
+
+
+class TestDecodeMemo:
+    def test_repeat_call_does_not_decode_again(self, monkeypatch):
+        # every decode starts with one topological sort
+        calls = []
+        original = lattice.topological_order
+
+        def counted(wg):
+            calls.append(wg)
+            return original(wg)
+
+        monkeypatch.setattr(lattice, "topological_order", counted)
+        wg = tie_wg()
+        first = (best_path(wg), n_best_paths(wg, 100))
+        assert len(calls) == 2
+        for _ in range(3):
+            assert (best_path(wg), n_best_paths(wg, 100)) == first
+        assert len(calls) == 2
+        n_best_paths(wg, 3)
+        assert len(calls) == 3
+
+    def test_returned_list_is_fresh(self):
+        wg = tie_wg()
+        got = n_best_paths(wg, 5)
+        expected = list(got)
+        got.reverse()
+        got.pop()
+        assert n_best_paths(wg, 5) == expected
+        assert n_best_paths(wg, 5) is not n_best_paths(wg, 5)
+
+    def test_one_best_and_hundred_best_in_either_order(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            wg = random_wg(rng)
+            fields = (wg.num_vertices, wg.initial, wg.finals, wg.edges)
+            hundred_first = WordGraph(*fields)
+            many = n_best_paths(hundred_first, 100)
+            one = best_path(hundred_first)
+            one_first = WordGraph(*fields)
+            assert best_path(one_first) == one == many[0]
+            assert n_best_paths(one_first, 100) == many
+
+    def test_equality_hash_and_pickle(self):
+        decoded = tie_wg()
+        expected = (best_path(decoded), n_best_paths(decoded, 100))
+        fresh = tie_wg()
+        assert decoded == fresh
+        assert hash(decoded) == hash(fresh)
+        restored = pickle.loads(pickle.dumps(decoded))
+        assert restored == fresh
+        assert hash(restored) == hash(fresh)
+        assert (best_path(restored), n_best_paths(restored, 100)) == expected
+        assert (best_path(fresh), n_best_paths(fresh, 100)) == expected
+
+    @pytest.mark.parametrize(
+        "wg, message",
+        [
+            (WordGraph(4, 0, {3}, [(0, 1, "a", 0.5), (1, 2, "b", 0.5),
+                                   (2, 1, "c", 0.5), (2, 3, "d", 0.5)]),
+             "word graph has a cycle"),
+            (WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)]),
+             "word graph has no complete path"),
+        ],
+        ids=["cycle", "no-path"],
+    )
+    def test_errors_raise_on_every_call(self, wg, message):
+        for _ in range(2):
+            with pytest.raises(NoCompletePathError, match=message):
+                best_path(wg)
+            with pytest.raises(NoCompletePathError, match=message):
+                n_best_paths(wg, 100)
 
 
 class TestPosteriors:
