@@ -7,6 +7,7 @@ Run:  python demos/01_word_graphs_and_decoding.py
 import math
 
 from latfuse import (
+    LatticeError,
     WordGraph,
     best_path,
     cn_best_path,
@@ -34,6 +35,13 @@ wg = WordGraph(
 )
 
 print("valid?", validate_wg(wg))
+
+# Every WordGraph is valid by construction: an invalid one is refused with
+# the first violated invariant, here an edge leaving the final vertex.
+try:
+    WordGraph(3, 0, {1}, [(0, 1, "a", 0.5), (1, 2, "b", 0.5)])
+except LatticeError as exc:
+    print("refused:", exc)
 print()
 
 print("complete paths and product scores:")

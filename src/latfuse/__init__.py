@@ -19,12 +19,7 @@ from .align import (
     subnetwork_distance,
 )
 from .ctc import Posteriorgram, collapse_map, greedy_decode, posteriorgram_to_wg
-from .errors import (
-    FormatError,
-    LatticeError,
-    NoCompletePathError,
-    PathCountExceededError,
-)
+from .errors import FormatError, LatticeError, PathCountExceededError
 from .fusion import (
     METHODS,
     FusionConfig,

@@ -12,7 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoCompletePathError
 from .lattice import EPS, SymbolSequence, WordGraph, topological_order
 
 
@@ -193,8 +192,6 @@ def align_seq_to_lattice(
     its edit distance.
     """
     order = topological_order(wg)
-    if order is None:
-        raise NoCompletePathError("word graph has a cycle")
     adj = wg.out_edges()
     toks = _label_tuple(seq)
     n = len(toks)
@@ -225,14 +222,10 @@ def align_seq_to_lattice(
                     relax((e.dst, j + 1), (cost + step, nl, *ext))
                 relax((e.dst, j), (cost + 1, nl, *ext))
 
-    best = None
-    for f in wg.finals:
-        st = states.get((f, n))
-        if st is not None and (best is None or st[:4] < best[:4]):
-            best = st
-    if best is None:
-        raise NoCompletePathError("word graph has no complete path")
-    cost, _neglog, _vids, labels, scores = best
+    # a valid graph reaches a final, and every reached final consumes all of seq
+    cost, _neglog, _vids, labels, scores = min(
+        (states[f, n] for f in wg.finals if (f, n) in states),
+        key=lambda st: st[:4])
     return SymbolSequence(labels, scores), cost
 
 

@@ -5,10 +5,6 @@ class LatticeError(Exception):
     """Base class for lattice domain errors."""
 
 
-class NoCompletePathError(LatticeError):
-    """The word graph contains no path from the initial vertex to a final one."""
-
-
 class PathCountExceededError(LatticeError):
     """Exhaustive path enumeration was requested but the lattice is too large.
 

@@ -12,7 +12,7 @@ transcription files, where every line is one transcription).
 import numpy as np
 
 from .ctc import Posteriorgram
-from .errors import FormatError
+from .errors import FormatError, LatticeError
 from .lattice import ConfusionNetwork, Edge, SymbolSequence, WordGraph
 
 
@@ -96,7 +96,11 @@ def write_wg(wg: WordGraph, name: str = "wg") -> str:
 
 
 def parse_word_graphs(text: str, source: str = "<wg>") -> list:
-    """Parse a stream of WG records; returns [(name, WordGraph), ...]."""
+    """Parse a stream of WG records; returns [(name, WordGraph), ...].
+
+    A record that parses but fails ``validate_wg`` is reported at its ``WG``
+    line with the constructor's ``invalid word graph: ...`` message.
+    """
     records = []
     for no, kw, args in _record_lines(text, source, "WG", ("E", "V", "I", "F")):
         if kw == "E":
@@ -110,11 +114,15 @@ def parse_word_graphs(text: str, source: str = "<wg>") -> list:
                 raise FormatError(source, no, "bad edge vertex id") from None
             edges.append(Edge(src, dst, args[2], _parse_score(args[3], source, no)))
         elif kw == "WG":
-            name, fields, edges = args[0], {}, []
+            name, head_no, fields, edges = args[0], no, {}, []
         elif kw == "END":
             _require(fields, ("V", "I", "F"), name, source, no)
-            records.append((name, WordGraph(
-                fields["V"], fields["I"], fields["F"], tuple(edges))))
+            try:
+                wg = WordGraph(
+                    fields["V"], fields["I"], fields["F"], tuple(edges))
+            except LatticeError as exc:
+                raise FormatError(source, head_no, str(exc)) from None
+            records.append((name, wg))
         elif kw == "F":
             if not args or "F" in fields:
                 raise FormatError(source, no, "expected one: F <id> [<id>...]")

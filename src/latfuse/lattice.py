@@ -13,6 +13,11 @@ path list on the ``WordGraph`` instance (in its ``__dict__``, outside the
 dataclass fields, so equality, hashing and results are unaffected) and hand
 out copies.  The memo lives and dies with the graph; two threads racing on
 it at worst decode the same list twice.
+
+A ``WordGraph`` is valid by construction: its constructor runs
+``validate_wg`` and raises ``LatticeError`` naming the first violated
+invariant, so the decoders never meet a cycle, a dangling edge or a graph
+without a complete path.
 """
 
 import heapq
@@ -21,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import NoCompletePathError, PathCountExceededError
+from .errors import LatticeError, PathCountExceededError
 
 EPS = "<eps>"
 BLANK = "<blk>"
@@ -104,6 +109,11 @@ class WordGraph:
     a final vertex or enter the initial one.  Parallel edges between the same
     vertex pair (with different labels) are allowed; they are what makes
     sausage-shaped lattices expressible.
+
+    Construction, ``dataclasses.replace`` included, raises ``LatticeError``
+    unless ``validate_wg`` accepts the graph.  The message is ``invalid word
+    graph: <violation>``, followed by ``: <offender>`` when there is one; an
+    offending edge is printed as its WG ``E`` line.
     """
 
     num_vertices: int
@@ -114,6 +124,15 @@ class WordGraph:
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        verdict = validate_wg(self)
+        if not verdict:
+            where = verdict.offender
+            if isinstance(where, Edge):
+                where = (f"E {where.src} {where.dst} {where.label} "
+                         f"{format(float(where.score), '.12g')}")
+            detail = "" if where is None else f": {where}"
+            raise LatticeError(
+                f"invalid word graph: {verdict.violation}{detail}")
 
     def out_edges(self) -> list[list[Edge]]:
         """Adjacency lists indexed by source vertex, in deterministic order."""
@@ -219,8 +238,7 @@ def validate_wg(wg: WordGraph) -> Verdict:
 
 def count_paths(wg: WordGraph) -> int:
     """Exact number of complete paths (exact integer arithmetic)."""
-    order = topological_order(wg)
-    return 0 if order is None else _count_paths_along(wg, order)
+    return _count_paths_along(wg, topological_order(wg))
 
 
 def _count_paths_along(wg: WordGraph, order: list[int]) -> int:
@@ -240,14 +258,11 @@ def enumerate_paths(wg: WordGraph, limit: int) -> list[tuple[SymbolSequence, flo
 
     Paths are ordered lexicographically by vertex-id sequence, then by label
     sequence.  Raises PathCountExceededError when the lattice holds more than
-    ``limit`` paths (use best_path or n_best_paths instead), and
-    NoCompletePathError when it holds none.
+    ``limit`` paths (use best_path or n_best_paths instead).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     total = count_paths(wg)
-    if total == 0:
-        raise NoCompletePathError("word graph has no complete path")
     if total > limit:
         raise PathCountExceededError(total, limit)
     adj = wg.out_edges()
@@ -304,15 +319,13 @@ def _k_best(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
     the documented order.  Two prefixes ending at the same vertex keep their
     order under any common extension (up to rounding of the sums), which
     makes the per-vertex truncation exact.  A path stops at the first final
-    vertex it reaches.  The result is memoized per ``n`` in the graph's
-    ``__dict__``; callers get a fresh list.
+    vertex it reaches; the graph is valid, so one does.  The result is
+    memoized per ``n`` in the graph's ``__dict__``; callers get a fresh list.
     """
     memo = wg.__dict__.setdefault("_k_best", {})
     if n in memo:
         return list(memo[n])
     order = topological_order(wg)
-    if order is None:
-        raise NoCompletePathError("word graph has a cycle")
     adj = wg.out_edges()
     state = [[] for _ in range(wg.num_vertices)]
     state[wg.initial].append((0.0, (wg.initial,), (), ()))
@@ -330,8 +343,6 @@ def _k_best(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
                  scores + (e.score,))
                 for neg, vids, labels, scores in kept
             ]
-    if not complete:
-        raise NoCompletePathError("word graph has no complete path")
     # 0.0 - neg keeps an all-1.0 path's log score at +0.0, not -0.0
     memo[n] = [
         (SymbolSequence(labels, scores), 0.0 - neg)

@@ -4,7 +4,7 @@ import pytest
 from latfuse import (
     EPS,
     AlignmentResult,
-    NoCompletePathError,
+    LatticeError,
     SWParams,
     SymbolSequence,
     WordGraph,
@@ -250,9 +250,10 @@ class TestSeqToLattice:
             assert cost <= edit_distance(bp, seq)
 
     def test_no_path(self):
-        wg = WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
-        with pytest.raises(NoCompletePathError):
-            align_seq_to_lattice(SymbolSequence(("a",)), wg)
+        # a graph without a complete path never reaches align_seq_to_lattice
+        with pytest.raises(LatticeError,
+                           match="^invalid word graph: no complete path$"):
+            WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
 
 
 class TestDtw:

@@ -145,10 +145,14 @@ class TestErrorPaths:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["wg-best-path", "--wg", str(tmp_path / "nope.wg")]) == 2
 
-    def test_no_complete_path_exit_3(self, tmp_path):
+    def test_no_complete_path_exit_2(self, tmp_path, capsys):
         dead = tmp_path / "dead.wg"
         dead.write_text("WG x\nV 3\nI 0\nF 2\nE 0 1 a 0.5\nEND\n")
-        assert run(["wg-best-path", "--wg", str(dead)]) == 3
+        assert run(["wg-best-path", "--wg", str(dead)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"latfuse: {dead}:1: invalid word graph: no complete path\n")
 
     @pytest.mark.parametrize(
         "edges, invariant, offender",
@@ -162,19 +166,18 @@ class TestErrorPaths:
         ],
         ids=["vertex-out-of-range", "zero-score", "edge-leaves-final"],
     )
-    def test_invalid_word_graph_exit_3(self, tmp_path, capsys, edges,
+    def test_invalid_word_graph_exit_2(self, tmp_path, capsys, edges,
                                        invariant, offender):
         bad = tmp_path / "bad.wg"
         bad.write_text(f"WG x\nV 4\nI 0\nF 2\n{edges}END\n")
         for argv in (["wg-best-path", "--wg", str(bad)],
                      ["fuse", "--method", "mbr", "--image", str(bad),
                       "--audio", str(bad)]):
-            assert run(argv) == 3
+            assert run(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert str(bad) in captured.err
-            assert f"{invariant}: {offender}" in captured.err
-            assert "Traceback" not in captured.err
+            assert captured.err == (f"latfuse: {bad}:1: invalid word graph: "
+                                    f"{invariant}: {offender}\n")
 
     @pytest.mark.parametrize(
         "body, message",
@@ -212,7 +215,8 @@ class TestErrorPaths:
             assert code in (0, 2, 3)
             codes.add(code)
             assert "Traceback" not in capsys.readouterr().err
-        assert codes == {0, 2, 3}
+        # exit 3 came only from invalid word graphs, which are now exit 2
+        assert codes == {0, 2}
 
 
 class TestWilcoxonCommand:

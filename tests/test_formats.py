@@ -87,6 +87,17 @@ END
         with pytest.raises(FormatError):
             parse_word_graphs("WG x\nV 2\nI 0\nF 1\nE 0 1 a 1.5\nEND\n")
 
+    def test_invalid_graph_reported_at_head_line(self):
+        rng = np.random.default_rng(76)
+        text = (write_wg(random_wg(rng), "ok") + "\n# dangling edge\n"
+                "WG bad\nV 3\nI 0\nF 1\nE 0 1 a 0.5\nE 1 2 b 0.5\nEND\n")
+        head = text.splitlines().index("WG bad") + 1
+        with pytest.raises(FormatError) as err:
+            parse_word_graphs(text, source="f.wg")
+        assert err.value.line_no == head
+        assert str(err.value) == (f"f.wg:{head}: invalid word graph: "
+                                  "edge leaves final vertex: E 1 2 b 0.5")
+
     def test_parse_single_rejects_multi(self):
         rng = np.random.default_rng(74)
         text = write_wg(random_wg(rng)) * 2
@@ -230,6 +241,24 @@ class TestMutationFuzz:
                 assert isinstance(records, list)
                 outcomes["parsed"] += 1
         assert min(outcomes.values()) > 0
+
+    def test_invalid_graphs_rejected_at_head_line(self):
+        # the WG texts of test_parse_or_format_error; 35 of the 51 invalid
+        # records sit in texts that would parse without the constructor check
+        rng = np.random.default_rng(91)
+        outcomes = {"parsed": 0, "invalid": 0}
+        for _ in range(1000):
+            text = mutate_text(write_wg(random_wg(rng), "r") * 2, rng)
+            try:
+                parse_word_graphs(text, source="m")
+            except FormatError as err:
+                if "invalid word graph: " in str(err):
+                    head = text.splitlines()[err.line_no - 1]
+                    assert head.split()[0] == "WG"
+                    outcomes["invalid"] += 1
+            else:
+                outcomes["parsed"] += 1
+        assert outcomes == {"parsed": 186, "invalid": 51}
 
 
 class TestValues:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from latfuse import (
     EPS,
     ConfusionNetwork,
-    NoCompletePathError,
+    LatticeError,
     PathCountExceededError,
     SymbolSequence,
     Vocabulary,
@@ -26,6 +28,12 @@ from latfuse import (
 from latfuse import lattice
 from latgen import random_wg
 from oracles import best_path_by_enumeration, dfs_paths, n_best_by_enumeration
+
+
+def invalid(message):
+    """Expect construction to fail with ``invalid word graph: <message>``."""
+    expected = re.escape(f"invalid word graph: {message}")
+    return pytest.raises(LatticeError, match=f"^{expected}$")
 
 
 def minimal_wg():
@@ -67,39 +75,116 @@ class TestValidation:
 
     def test_cycle(self):
         # the reverse edge added to the minimal legal graph forms a cycle
-        wg = WordGraph(2, 0, {1}, [(0, 1, "a", 0.5), (1, 0, "b", 0.5)])
-        assert validate_wg(wg).violation == "acyclic"
+        with invalid("acyclic"):
+            WordGraph(2, 0, {1}, [(0, 1, "a", 0.5), (1, 0, "b", 0.5)])
 
     def test_empty_finals(self):
-        wg = WordGraph(2, 0, set(), [(0, 1, "a", 0.5)])
-        assert validate_wg(wg).violation == "finals non-empty"
+        with invalid("finals non-empty"):
+            WordGraph(2, 0, set(), [(0, 1, "a", 0.5)])
 
     def test_initial_in_finals(self):
-        wg = WordGraph(2, 0, {0, 1}, [(0, 1, "a", 0.5)])
-        assert not validate_wg(wg).ok
+        with invalid("initial vertex is final: 0"):
+            WordGraph(2, 0, {0, 1}, [(0, 1, "a", 0.5)])
 
     def test_edge_leaves_final(self):
-        wg = WordGraph(3, 0, {1}, [(0, 1, "a", 0.5), (1, 2, "b", 0.5)])
-        v = validate_wg(wg)
-        assert v.violation == "edge leaves final vertex"
-        assert v.offender == (1, 2, "b", 0.5)
+        with invalid("edge leaves final vertex: E 1 2 b 0.5"):
+            WordGraph(3, 0, {1}, [(0, 1, "a", 0.5), (1, 2, "b", 0.5)])
 
     def test_edge_enters_initial(self):
-        wg = WordGraph(3, 0, {2}, [(0, 2, "a", 0.5), (1, 0, "b", 0.5)])
-        assert validate_wg(wg).violation == "edge enters initial vertex"
+        with invalid("edge enters initial vertex: E 1 0 b 0.5"):
+            WordGraph(3, 0, {2}, [(0, 2, "a", 0.5), (1, 0, "b", 0.5)])
 
     def test_zero_score_rejected(self):
-        wg = WordGraph(2, 0, {1}, [(0, 1, "a", 0.0)])
-        assert validate_wg(wg).violation == "edge score outside (0, 1]"
+        with invalid("edge score outside (0, 1]: E 0 1 a 0"):
+            WordGraph(2, 0, {1}, [(0, 1, "a", 0.0)])
 
     def test_no_complete_path(self):
-        wg = WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
-        assert validate_wg(wg).violation == "no complete path"
+        with invalid("no complete path"):
+            WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
 
     def test_random_generator_only_emits_valid(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             assert validate_wg(random_wg(rng)).ok
+
+
+VALID_FIELDS = dict(
+    num_vertices=3, initial=0, finals={2},
+    edges=[(0, 1, "a", 0.5), (1, 2, "b", 0.5)],
+)
+
+# one change to VALID_FIELDS per validate_wg invariant, in its check order
+VIOLATIONS = [
+    ("vertex-count", dict(num_vertices=0), "vertex count: 0"),
+    ("initial-range", dict(initial=5), "initial vertex out of range: 5"),
+    ("finals-empty", dict(finals=set()), "finals non-empty"),
+    ("final-range", dict(finals={2, 7}), "final vertex out of range: 7"),
+    ("initial-final", dict(finals={0, 2}), "initial vertex is final: 0"),
+    ("endpoint-range", dict(edges=[(0, 1, "a", 0.5), (1, 9, "b", 0.5)]),
+     "edge endpoint out of range: E 1 9 b 0.5"),
+    ("label", dict(edges=[(0, 1, "a b", 0.5), (1, 2, "b", 0.5)]),
+     "edge label empty or has whitespace: E 0 1 a b 0.5"),
+    ("score", dict(edges=[(0, 1, "a", 0.5), (1, 2, "b", 1.5)]),
+     "edge score outside (0, 1]: E 1 2 b 1.5"),
+    ("cycle", dict(edges=[(0, 1, "a", 0.5), (1, 2, "b", 0.5),
+                          (1, 0, "c", 0.5)]),
+     "acyclic"),
+    ("enters-initial", dict(num_vertices=4, edges=[
+        (0, 1, "a", 0.5), (1, 2, "b", 0.5), (3, 0, "c", 0.5)]),
+     "edge enters initial vertex: E 3 0 c 0.5"),
+    ("leaves-final", dict(num_vertices=4, edges=[
+        (0, 1, "a", 0.5), (1, 2, "b", 0.5), (2, 3, "c", 0.5)]),
+     "edge leaves final vertex: E 2 3 c 0.5"),
+    ("no-path", dict(edges=[(0, 1, "a", 0.5)]), "no complete path"),
+]
+
+
+class TestConstruction:
+    """Every invalid graph is refused where it is built, not where it is used."""
+
+    @pytest.mark.parametrize(
+        "change, message", [v[1:] for v in VIOLATIONS],
+        ids=[v[0] for v in VIOLATIONS])
+    def test_constructor_raises(self, change, message):
+        with invalid(message):
+            WordGraph(**{**VALID_FIELDS, **change})
+
+    @pytest.mark.parametrize(
+        "change, message", [v[1:] for v in VIOLATIONS],
+        ids=[v[0] for v in VIOLATIONS])
+    def test_replace_raises(self, change, message):
+        valid = WordGraph(**VALID_FIELDS)
+        with invalid(message):
+            dataclasses.replace(valid, **change)
+
+    def test_score_printed_with_twelve_digits(self):
+        with invalid("edge score outside (0, 1]: E 0 1 a 1.00000000012"):
+            WordGraph(2, 0, {1}, [(0, 1, "a", 1.000000000123456)])
+
+    def test_non_finite_score(self):
+        for score, text in ((math.nan, "nan"), (math.inf, "inf")):
+            with invalid(f"edge score outside (0, 1]: E 0 1 a {text}"):
+                WordGraph(2, 0, {1}, [(0, 1, "a", score)])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # MBR fusion would decode this graph without complaint
+            ((3, 0, {1}, [(0, 1, "a", 0.5), (1, 2, "b", 0.5)]),
+             "edge leaves final vertex: E 1 2 b 0.5"),
+            # the decoders would index past the vertex list (IndexError)
+            ((4, 0, {3}, [(0, 1, "a", 0.5), (1, 3, "b", 0.5),
+                          (1, 9, "c", 0.5)]),
+             "edge endpoint out of range: E 1 9 c 0.5"),
+            # best_path would take log(0) ("math domain error")
+            ((2, 0, {1}, [(0, 1, "a", 0.0)]),
+             "edge score outside (0, 1]: E 0 1 a 0"),
+        ],
+        ids=["mbr-decodes-final-edge", "index-error", "math-domain-error"],
+    )
+    def test_decoder_crashes_refused(self, fields, message):
+        with invalid(message):
+            WordGraph(*fields)
 
 
 class TestVocabulary:
@@ -136,9 +221,9 @@ class TestEnumerate:
             enumerate_paths(diamond_wg(), 1)
 
     def test_no_path(self):
-        wg = WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
-        with pytest.raises(NoCompletePathError):
-            enumerate_paths(wg, 10)
+        # a graph without a complete path never reaches enumerate_paths
+        with invalid("no complete path"):
+            WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
 
     def test_matches_dfs_oracle(self):
         rng = np.random.default_rng(7)
@@ -194,9 +279,9 @@ class TestBestPath:
         assert seq.labels == ("a", "x")
 
     def test_no_path(self):
-        wg = WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
-        with pytest.raises(NoCompletePathError):
-            best_path(wg)
+        # a graph without a complete path never reaches best_path
+        with invalid("no complete path"):
+            WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
 
     def test_all_one_path_scores_positive_zero(self):
         # the CLI prints LOGSCORE 0 here, never -0
@@ -265,8 +350,8 @@ class TestDecodeMemo:
             calls.append(wg)
             return original(wg)
 
+        wg = tie_wg()  # construction sorts once, before the counting starts
         monkeypatch.setattr(lattice, "topological_order", counted)
-        wg = tie_wg()
         first = (best_path(wg), n_best_paths(wg, 100))
         assert len(calls) == 2
         for _ in range(3):
@@ -309,22 +394,20 @@ class TestDecodeMemo:
         assert (best_path(fresh), n_best_paths(fresh, 100)) == expected
 
     @pytest.mark.parametrize(
-        "wg, message",
+        "fields, violation",
         [
-            (WordGraph(4, 0, {3}, [(0, 1, "a", 0.5), (1, 2, "b", 0.5),
-                                   (2, 1, "c", 0.5), (2, 3, "d", 0.5)]),
-             "word graph has a cycle"),
-            (WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)]),
-             "word graph has no complete path"),
+            ((4, 0, {3}, [(0, 1, "a", 0.5), (1, 2, "b", 0.5),
+                          (2, 1, "c", 0.5), (2, 3, "d", 0.5)]),
+             "acyclic"),
+            ((3, 0, {2}, [(0, 1, "a", 0.5)]), "no complete path"),
         ],
         ids=["cycle", "no-path"],
     )
-    def test_errors_raise_on_every_call(self, wg, message):
+    def test_errors_raise_on_every_call(self, fields, violation):
+        # nothing is cached for a graph that never gets built
         for _ in range(2):
-            with pytest.raises(NoCompletePathError, match=message):
-                best_path(wg)
-            with pytest.raises(NoCompletePathError, match=message):
-                n_best_paths(wg, 100)
+            with invalid(violation):
+                WordGraph(*fields)
 
 
 class TestPosteriors:
