@@ -7,17 +7,12 @@ fusion can recover the full truth where each unimodal decode cannot.
 Run:  python demos/04_fusion_strategies.py
 """
 
-from latfuse import (
-    FusionConfig,
-    WordGraph,
-    best_path,
-    fuse_global,
-    fuse_lightly,
-    fuse_local,
-    fuse_mbr,
-)
+from latfuse import METHODS, FusionConfig, WordGraph, best_path, run_fusion
 
 TRUTH = ("clef-G2", "note-C4", "note-D4", "note-E4", "barline")
+# lightly_ia corrects the image 1-best with the audio lattice, lightly_ai
+# the audio 1-best with the image lattice
+NAMES = {"lightly_ia": "lightly (IA)", "lightly_ai": "lightly (AI)"}
 
 
 def sausage(columns):
@@ -51,15 +46,12 @@ print("image 1-best :", best_path(wg_image)[0].to_text())
 print("audio 1-best :", best_path(wg_audio)[0].to_text())
 print()
 
-cfg = FusionConfig(alpha=0.5)
-print("mbr          :", fuse_mbr(wg_image, wg_audio, cfg).to_text())
-print("lightly (IA) :", fuse_lightly(wg_image, wg_audio).to_text())
-print("lightly (AI) :", fuse_lightly(wg_audio, wg_image).to_text())
-print("global       :", fuse_global(wg_image, wg_audio, cfg).to_text())
-print("local        :", fuse_local(wg_image, wg_audio, cfg).to_text())
+for method in METHODS:
+    out = run_fusion(wg_image, wg_audio, FusionConfig(alpha=0.5, method=method))
+    print(f"{NAMES.get(method, method):<13}:", out.to_text())
 print()
 
 print("alpha sweep for the risk-based fusion (1.0 would mean image only):")
 for alpha in (0.2, 0.4, 0.6, 0.8):
-    out = fuse_mbr(wg_image, wg_audio, FusionConfig(alpha=alpha))
+    out = run_fusion(wg_image, wg_audio, FusionConfig(alpha=alpha, method="mbr"))
     print(f"  alpha {alpha:.1f}: {out.to_text()}")

@@ -25,10 +25,7 @@ from .fusion import (
     FusionConfig,
     MbrTables,
     combine_cns,
-    fuse_global,
     fuse_lightly,
-    fuse_local,
-    fuse_mbr,
     lattice_hypotheses,
     mbr_decode,
     merge_aligned_best_paths,
@@ -38,6 +35,7 @@ from .fusion import (
 from .lattice import (
     BLANK,
     EPS,
+    MAX_PATHS,
     ConfusionNetwork,
     Edge,
     SymbolSequence,

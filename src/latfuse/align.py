@@ -251,19 +251,19 @@ def completely_different(sub_a: dict, sub_b: dict) -> bool:
     )
 
 
-def dtw_align(cn_a, cn_b, cost_fn=subnetwork_distance):
+def dtw_align(cn_a, cn_b):
     """DTW warping path over two confusion networks' subnetwork indices.
 
-    Steps are (1,1), (1,0), (0,1) with both endpoints matched; ties during
-    backtrace prefer (1,1), then (1,0).  Returns (path, total_cost) where
-    path is the list of matched index pairs from (0,0) to (|a|-1, |b|-1).
+    The local cost is ``subnetwork_distance``.  Steps are (1,1), (1,0),
+    (0,1) with both endpoints matched; ties during backtrace prefer (1,1),
+    then (1,0).  Returns (path, total_cost) where path is the list of
+    matched index pairs from (0,0) to (|a|-1, |b|-1).
     """
-    subs_a = cn_a.subnetworks if hasattr(cn_a, "subnetworks") else tuple(cn_a)
-    subs_b = cn_b.subnetworks if hasattr(cn_b, "subnetworks") else tuple(cn_b)
+    subs_a, subs_b = cn_a.subnetworks, cn_b.subnetworks
     n, m = len(subs_a), len(subs_b)
     if n == 0 or m == 0:
         raise ValueError("empty confusion network")
-    local = [[cost_fn(subs_a[i], subs_b[j]) for j in range(m)] for i in range(n)]
+    local = [[subnetwork_distance(a, b) for b in subs_b] for a in subs_a]
     acc = [[math.inf] * m for _ in range(n)]
     acc[0][0] = local[0][0]
     for i in range(n):

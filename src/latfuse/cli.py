@@ -20,7 +20,7 @@ from .formats import (
     write_cn,
 )
 from .fusion import METHODS, FusionConfig, run_fusion
-from .lattice import best_path, cn_from_wg
+from .lattice import MAX_PATHS, best_path, cn_from_wg
 from .metrics import EvalPair, ser, wilcoxon_signed_rank
 from .simulate import (
     alpha_grid_from_step,
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wg-to-cn",
                        help="convert a word graph to a confusion network")
     p.add_argument("--wg", required=True, metavar="FILE")
-    p.add_argument("--max-paths", type=_positive(int), default=100)
+    p.add_argument("--max-paths", type=_positive(int), default=MAX_PATHS)
 
     p = sub.add_parser("fuse",
                        help="fuse an image and an audio word graph")
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sw-match", type=_positive(float), default=2.0)
     p.add_argument("--sw-mismatch", type=_non_positive_float, default=-1.0)
     p.add_argument("--sw-gap", type=_non_positive_float, default=-2.0)
-    p.add_argument("--max-paths", type=_positive(int), default=100)
+    p.add_argument("--max-paths", type=_positive(int), default=MAX_PATHS)
 
     p = sub.add_parser("eval-ser",
                        help="corpus symbol error rate of parallel files")

@@ -98,8 +98,9 @@ def write_wg(wg: WordGraph, name: str = "wg") -> str:
 def parse_word_graphs(text: str, source: str = "<wg>") -> list:
     """Parse a stream of WG records; returns [(name, WordGraph), ...].
 
-    A record that parses but fails ``validate_wg`` is reported at its ``WG``
-    line with the constructor's ``invalid word graph: ...`` message.
+    An edge score outside (0, 1] is reported at its ``E`` line.  A record
+    that parses but fails ``validate_wg`` is reported at its ``WG`` line
+    with the constructor's ``invalid word graph: ...`` message.
     """
     records = []
     for no, kw, args in _record_lines(text, source, "WG", ("E", "V", "I", "F")):
@@ -112,7 +113,10 @@ def parse_word_graphs(text: str, source: str = "<wg>") -> list:
                 src, dst = int(args[0]), int(args[1])
             except ValueError:
                 raise FormatError(source, no, "bad edge vertex id") from None
-            edges.append(Edge(src, dst, args[2], _parse_score(args[3], source, no)))
+            score = _parse_score(args[3], source, no)
+            if score == 0.0:  # CN scores may be 0, WG edge scores may not
+                raise FormatError(source, no, f"score {args[3]!r} outside (0, 1]")
+            edges.append(Edge(src, dst, args[2], score))
         elif kw == "WG":
             name, head_no, fields, edges = args[0], no, {}, []
         elif kw == "END":

@@ -6,7 +6,8 @@ confusion-network merging after DTW alignment (global), and merging of the
 two best paths after Smith-Waterman local alignment (local).
 
 ``PREPARE_METHOD`` holds each variant as work done once per lattice pair
-plus a decode per alpha; ``run_fusion`` and the scenario grid both use it.
+plus a decode per alpha.  ``run_fusion`` runs one variant at one alpha and
+is the way to call them; the scenario grid reads the table directly.
 
 The ``wg_i``/``wg_a`` argument pair is by convention the image-side and
 audio-side lattice; ``alpha`` weights the image side, ``1 - alpha`` the
@@ -24,10 +25,10 @@ from .align import (
     dtw_align,
     edit_distance_matrix,
     smith_waterman,
-    subnetwork_distance,
 )
 from .lattice import (
     EPS,
+    MAX_PATHS,
     ConfusionNetwork,
     SymbolSequence,
     WordGraph,
@@ -57,7 +58,7 @@ class FusionConfig:
     method: str = "mbr"
     laplace_lambda: float = 1.0
     sw: SWParams = field(default_factory=SWParams)
-    max_paths: int = 100
+    max_paths: int = MAX_PATHS
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -87,7 +88,7 @@ def lattice_hypotheses(wg: WordGraph, max_paths: int) -> dict:
 class MbrTables:
     """Precomputed risk tables for one lattice pair, reusable across alpha."""
 
-    def __init__(self, wg_i: WordGraph, wg_a: WordGraph, max_paths: int = 100):
+    def __init__(self, wg_i: WordGraph, wg_a: WordGraph, max_paths: int):
         hyp_i = lattice_hypotheses(wg_i, max_paths)
         hyp_a = lattice_hypotheses(wg_a, max_paths)
         self.candidates = sorted(set(hyp_i) | set(hyp_a))
@@ -114,24 +115,18 @@ class MbrTables:
         return SymbolSequence(self.candidates[best])
 
 
-def fuse_mbr(
-    wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig = FusionConfig()
-) -> SymbolSequence:
-    """Minimum-expected-risk sequence over the union of both path sets.
+def _prepare_mbr(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
+    """Minimum-expected-risk fusion: risk tables once, a decode per alpha.
 
     The candidate set is the union of the two lattices' path label
     sequences; the risk of a candidate is its posterior-weighted edit
-    distance to each lattice's paths, mixed with weight ``cfg.alpha`` on the
+    distance to each lattice's paths, mixed with weight ``alpha`` on the
     image side.
     """
-    return _prepare_mbr(wg_i, wg_a, cfg)(cfg.alpha)
-
-
-def _prepare_mbr(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
     return MbrTables(wg_i, wg_a, cfg.max_paths).decode
 
 
-def mbr_decode(wg: WordGraph, max_paths: int = 100) -> SymbolSequence:
+def mbr_decode(wg: WordGraph, max_paths: int = MAX_PATHS) -> SymbolSequence:
     """Unimodal minimum-risk decode: the set-median path of one lattice."""
     hyp = lattice_hypotheses(wg, max_paths)
     refs = sorted(hyp)
@@ -179,19 +174,17 @@ def combine_cns(
     cn_a: ConfusionNetwork,
     alpha: float,
     lam: float,
-    path: list | None = None,
+    path: list,
 ) -> ConfusionNetwork:
     """Merge two DTW-aligned confusion networks into one.
 
-    Walks the warping path (computed here unless supplied): diagonal steps
+    Walks the ``dtw_align`` warping path of the pair: diagonal steps
     merge the matched subnetworks, unless the pair is completely different,
     in which case the image and audio subnetworks are each emitted merged
     with the unit-weight ``<eps>`` subnetwork (image first).  Non-diagonal
     steps leave one subnetwork alone; it merges with the ``<eps>``
     subnetwork on the missing side.
     """
-    if path is None:
-        path, _ = dtw_align(cn_i, cn_a, subnetwork_distance)
     subs_i = cn_i.subnetworks
     subs_a = cn_a.subnetworks
     columns = []
@@ -216,18 +209,11 @@ def combine_cns(
     return ConfusionNetwork(tuple(columns))
 
 
-def fuse_global(
-    wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig = FusionConfig()
-) -> SymbolSequence:
-    """Confusion-network fusion: convert, align, merge, decode, strip."""
-    return _prepare_global(wg_i, wg_a, cfg)(cfg.alpha)
-
-
 def _prepare_global(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
-    """Convert and DTW-align once; merge and decode per alpha."""
+    """Convert and DTW-align once; merge, decode, strip ``<eps>`` per alpha."""
     cn_i = cn_from_wg(wg_i, cfg.max_paths)
     cn_a = cn_from_wg(wg_a, cfg.max_paths)
-    path, _ = dtw_align(cn_i, cn_a, subnetwork_distance)
+    path, _ = dtw_align(cn_i, cn_a)
 
     def decode(alpha: float) -> SymbolSequence:
         merged = combine_cns(cn_i, cn_a, alpha, cfg.laplace_lambda, path)
@@ -284,15 +270,6 @@ def merge_aligned_best_paths(
     return SymbolSequence(tuple(labels), tuple(scores))
 
 
-def fuse_local(
-    wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig = FusionConfig()
-) -> SymbolSequence:
-    """Best-path fusion by Smith-Waterman local alignment."""
-    seq_i, _ = best_path(wg_i)
-    seq_a, _ = best_path(wg_a)
-    return merge_aligned_best_paths(seq_i, seq_a, cfg.sw)
-
-
 def _alpha_free(hyp: SymbolSequence):
     return lambda alpha: hyp
 
@@ -307,7 +284,8 @@ PREPARE_METHOD = {
     "lightly_ia": lambda wg_i, wg_a, cfg: _alpha_free(fuse_lightly(wg_i, wg_a)),
     "lightly_ai": lambda wg_i, wg_a, cfg: _alpha_free(fuse_lightly(wg_a, wg_i)),
     "global": _prepare_global,
-    "local": lambda wg_i, wg_a, cfg: _alpha_free(fuse_local(wg_i, wg_a, cfg)),
+    "local": lambda wg_i, wg_a, cfg: _alpha_free(merge_aligned_best_paths(
+        best_path(wg_i)[0], best_path(wg_a)[0], cfg.sw)),
 }
 
 

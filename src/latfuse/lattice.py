@@ -34,6 +34,9 @@ BLANK = "<blk>"
 #: Tolerance for per-subnetwork score sums in a confusion network.
 CN_SUM_TOL = 1e-9
 
+#: Default n-best cap behind MBR and confusion-network construction.
+MAX_PATHS = 100
+
 
 class Edge(NamedTuple):
     src: int
@@ -128,8 +131,10 @@ class WordGraph:
         if not verdict:
             where = verdict.offender
             if isinstance(where, Edge):
-                where = (f"E {where.src} {where.dst} {where.label} "
-                         f"{format(float(where.score), '.12g')}")
+                text = format(float(where.score), ".12g")
+                if float(text) != where.score:  # rounding may hide the fault
+                    text = repr(float(where.score))
+                where = f"E {where.src} {where.dst} {where.label} {text}"
             detail = "" if where is None else f": {where}"
             raise LatticeError(
                 f"invalid word graph: {verdict.violation}{detail}")
@@ -371,7 +376,7 @@ def _posteriors_from_log(logscores: Iterable[float]) -> list[float]:
     return [w / total for w in weights]
 
 
-def cn_from_wg(wg: WordGraph, max_paths: int = 100) -> ConfusionNetwork:
+def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
     """Convert a word graph to a confusion network by pivot alignment.
 
     The best path acts as the pivot.  Every other complete path (the n-best,

@@ -13,6 +13,7 @@ from .lattice import SymbolSequence
 #: correction) takes over beyond it.
 EXACT_LIMIT = 20
 
+#: Significance level behind every ``WilcoxonResult`` verdict.
 DEFAULT_SIGNIFICANCE = 0.05
 
 
@@ -47,7 +48,7 @@ class WilcoxonResult:
 
     ``statistic`` is W = min of the positive/negative rank sums over the
     ``n_effective`` non-zero differences.  ``verdict`` says how the first
-    sample compares to the second at the chosen significance level:
+    sample compares to the second at level ``DEFAULT_SIGNIFICANCE``:
     "lower", "greater", or "no-difference".
     """
 
@@ -74,9 +75,7 @@ def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
     return min(1.0, count / (1 << n))
 
 
-def wilcoxon_signed_rank(
-    a, b, significance: float = DEFAULT_SIGNIFICANCE
-) -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Paired two-sided Wilcoxon signed-rank test of ``a`` against ``b``.
 
     Zero differences are dropped; tied absolute differences get average
@@ -114,7 +113,7 @@ def wilcoxon_signed_rank(
             z = (w_plus - mean) / np.sqrt(var)
             p = float(min(1.0, 2.0 * norm.sf(abs(z))))
 
-    if p >= significance:
+    if p >= DEFAULT_SIGNIFICANCE:
         verdict = "no-difference"
     elif w_plus > w_minus:
         verdict = "greater"

@@ -15,7 +15,7 @@ are bit-reproducible regardless of how trials would be scheduled.
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -347,30 +347,22 @@ def _per_trial(trials: list) -> list:
 def run_scenario(
     spec: ScenarioSpec,
     scenario_id: int,
-    methods=METHODS,
+    noise_rates: tuple,
     alpha_grid=DEFAULT_ALPHA_GRID,
-    noise_rates: tuple | None = None,
 ) -> ScenarioReport:
-    """Generate one scenario's corpus and evaluate baselines and methods.
+    """Generate one scenario's corpus and evaluate baselines and ``METHODS``.
 
-    ``noise_rates`` can inject pre-calibrated (image, audio) rates; otherwise
-    each level is calibrated here from its own deterministic stream.
+    ``noise_rates`` are the (image, audio) corruption rates, as
+    ``calibrated_rate`` gives them for the spec's two levels.
     """
     for a in alpha_grid:
         if not 0.0 < a < 1.0:
             raise ValueError("alpha grid values must lie in (0, 1)")
-    if noise_rates is None:
-        noise_rates = (
-            calibrated_rate(spec, spec.image_level),
-            calibrated_rate(spec, spec.audio_level),
-        )
     noise_i, noise_a = noise_rates
 
     cfg = FusionConfig()
     baseline_trials = {"image": [], "audio": []}
-    cell_trials = {
-        (m, a): [] for m in methods for a in alpha_grid
-    }
+    cell_trials = {(m, a): [] for m in METHODS for a in alpha_grid}
     for t in range(spec.trials):
         truth, wg_i, wg_a = _trial_sample(spec, scenario_id, t, noise_i, noise_a)
         n = len(truth.labels)
@@ -383,7 +375,7 @@ def run_scenario(
         record(baseline_trials["image"], seq_i)
         record(baseline_trials["audio"], seq_a)
 
-        for m in methods:
+        for m in METHODS:
             decode = PREPARE_METHOD[m](wg_i, wg_a, cfg)
             for a in alpha_grid:
                 record(cell_trials[(m, a)], decode(a))
@@ -391,10 +383,10 @@ def run_scenario(
     baseline_ser = {k: _pooled(v) for k, v in baseline_trials.items()}
     cells = {key: _pooled(v) for key, v in cell_trials.items()}
     best_alpha = {
-        m: min(alpha_grid, key=lambda a: (cells[(m, a)], a)) for m in methods
+        m: min(alpha_grid, key=lambda a: (cells[(m, a)], a)) for m in METHODS
     }
     wilcoxon = {}
-    for m in methods:
+    for m in METHODS:
         vec = _per_trial(cell_trials[(m, best_alpha[m])])
         for base in ("image", "audio"):
             base_vec = _per_trial(baseline_trials[base])
@@ -454,22 +446,13 @@ def measure_calibrated_level(spec: ScenarioSpec, level: str) -> tuple:
     return rate, 100.0 * num / den
 
 
-def run_scenario_grid(
-    specs,
-    methods=METHODS,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    seed: int | None = None,
-) -> list:
+def run_scenario_grid(specs, alpha_grid=DEFAULT_ALPHA_GRID) -> list:
     """Run every scenario spec (numbered from 1) and collect the reports.
 
     Noise rates are calibrated once per distinct tuple of what calibration
     reads (level, seed, vocabulary size, length range, confusion width) and
-    shared across scenarios.  ``seed`` overrides every spec's seed when
-    given.
+    shared across scenarios.
     """
-    specs = list(specs)
-    if seed is not None:
-        specs = [replace(s, seed=seed) for s in specs]
     rate_cache = {}
 
     def rate_for(spec, level):
@@ -484,21 +467,11 @@ def run_scenario_grid(
             rate_cache[key] = calibrated_rate(spec, level)
         return rate_cache[key]
 
-    reports = []
-    for sid, spec in enumerate(specs, start=1):
-        reports.append(
-            run_scenario(
-                spec,
-                sid,
-                methods=methods,
-                alpha_grid=alpha_grid,
-                noise_rates=(
-                    rate_for(spec, spec.image_level),
-                    rate_for(spec, spec.audio_level),
-                ),
-            )
-        )
-    return reports
+    return [
+        run_scenario(spec, sid, alpha_grid=alpha_grid, noise_rates=(
+            rate_for(spec, spec.image_level), rate_for(spec, spec.audio_level)))
+        for sid, spec in enumerate(specs, start=1)
+    ]
 
 
 def _g(x) -> str:

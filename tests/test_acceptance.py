@@ -19,14 +19,12 @@ from latfuse import (
     cn_from_wg,
     dtw_align,
     enumerate_paths,
-    fuse_global,
     fuse_lightly,
-    fuse_local,
-    fuse_mbr,
     generate_wg_pair,
     mbr_decode,
     measure_calibrated_level,
     path_posteriors,
+    run_fusion,
     run_scenario,
     smith_waterman,
     strip_eps,
@@ -68,7 +66,8 @@ def test_criterion_1_mbr_oracle_equivalence():
             wg_i = random_wg(rng)
             wg_a = random_wg(rng)
         alpha = float(rng.uniform(0.05, 0.95))
-        got = fuse_mbr(wg_i, wg_a, FusionConfig(alpha=alpha, max_paths=250))
+        cfg = FusionConfig(alpha=alpha, method="mbr", max_paths=250)
+        got = run_fusion(wg_i, wg_a, cfg)
         want = mbr_by_enumeration(wg_i, wg_a, alpha)
         if got.labels != want:
             mismatches += 1
@@ -153,11 +152,12 @@ def test_criterion_4_consensus_identity():
     for _ in range(100):
         wg = random_wg(rng)
         bp_labels = best_path(wg)[0].labels
-        assert fuse_mbr(wg, wg) == mbr_decode(wg)
+        fuse = lambda m: run_fusion(wg, wg, FusionConfig(method=m))
+        assert fuse("mbr") == mbr_decode(wg)
         assert fuse_lightly(wg, wg).labels == bp_labels
-        assert fuse_local(wg, wg).labels == bp_labels
+        assert fuse("local").labels == bp_labels
         assert (
-            fuse_global(wg, wg).labels
+            fuse("global").labels
             == strip_eps(cn_best_path(cn_from_wg(wg))).labels
         )
     report(4, "consensus identity on 100 lattices, all methods")

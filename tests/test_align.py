@@ -312,21 +312,6 @@ class TestDtw:
         with pytest.raises(ValueError):
             dtw_align(ConfusionNetwork(()), ConfusionNetwork([{"a": 1.0}]))
 
-    def test_custom_cost_fn(self):
-        from latfuse import ConfusionNetwork
-
-        a = ConfusionNetwork([{"x": 1.0}, {"y": 1.0}])
-        b = ConfusionNetwork([{"p": 1.0}, {"q": 1.0}, {"r": 1.0}])
-        calls = []
-
-        def cost(sa, sb):
-            calls.append((tuple(sa), tuple(sb)))
-            return 1.0
-
-        path, cost_total = dtw_align(a, b, cost)
-        assert cost_total == 3.0
-        assert calls
-
 
 class TestSmithWaterman:
     def test_identical_full_alignment(self):

@@ -244,21 +244,26 @@ class TestMutationFuzz:
 
     def test_invalid_graphs_rejected_at_head_line(self):
         # the WG texts of test_parse_or_format_error; 35 of the 51 invalid
-        # records sit in texts that would parse without the constructor check
+        # records sit in texts that would parse without the constructor check.
+        # A zero edge score is refused at its own E line: 11 of those 51
+        # records, and 6 texts whose first error used to come after it.
         rng = np.random.default_rng(91)
-        outcomes = {"parsed": 0, "invalid": 0}
+        outcomes = {"parsed": 0, "invalid": 0, "zero score": 0}
         for _ in range(1000):
             text = mutate_text(write_wg(random_wg(rng), "r") * 2, rng)
             try:
                 parse_word_graphs(text, source="m")
             except FormatError as err:
+                line = text.splitlines()[err.line_no - 1]
                 if "invalid word graph: " in str(err):
-                    head = text.splitlines()[err.line_no - 1]
-                    assert head.split()[0] == "WG"
+                    assert line.split()[0] == "WG"
                     outcomes["invalid"] += 1
+                elif str(err).endswith(" outside (0, 1]"):
+                    assert line.split()[0] == "E"
+                    outcomes["zero score"] += 1
             else:
                 outcomes["parsed"] += 1
-        assert outcomes == {"parsed": 186, "invalid": 51}
+        assert outcomes == {"parsed": 186, "invalid": 40, "zero score": 17}
 
 
 class TestValues:

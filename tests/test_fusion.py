@@ -13,10 +13,8 @@ from latfuse import (
     cn_best_path,
     cn_from_wg,
     combine_cns,
-    fuse_global,
+    dtw_align,
     fuse_lightly,
-    fuse_local,
-    fuse_mbr,
     lattice_hypotheses,
     mbr_decode,
     merge_subnetworks,
@@ -26,6 +24,11 @@ from latfuse import (
 from latfuse.fusion import PREPARE_METHOD
 from latgen import CLOSE_TOKENS, random_wg
 from oracles import dfs_paths, mbr_by_enumeration, nearest_path_by_enumeration
+
+
+MBR = FusionConfig(method="mbr")
+GLOBAL = FusionConfig(method="global")
+LOCAL = FusionConfig(method="local")
 
 
 def single_path_wg(labels, score=0.9):
@@ -66,21 +69,22 @@ class TestMbr:
     def test_identical_single_paths(self):
         wg = single_path_wg(("p", "q", "r"))
         for alpha in (0.1, 0.5, 0.9):
-            assert fuse_mbr(wg, wg, FusionConfig(alpha=alpha)).labels == (
-                "p", "q", "r",
-            )
+            cfg = FusionConfig(method="mbr", alpha=alpha)
+            assert run_fusion(wg, wg, cfg).labels == ("p", "q", "r")
 
     def test_disjoint_single_paths_alpha_dominates(self):
         u = single_path_wg(("u1", "u2"))
         v = single_path_wg(("v1", "v2", "v3"))
         # risk(u) = (1-alpha) ED(u,v) < alpha ED(u,v) = risk(v) at alpha 0.9
-        assert fuse_mbr(u, v, FusionConfig(alpha=0.9)).labels == ("u1", "u2")
-        assert fuse_mbr(u, v, FusionConfig(alpha=0.1)).labels == ("v1", "v2", "v3")
+        cfg = lambda a: FusionConfig(method="mbr", alpha=a)
+        assert run_fusion(u, v, cfg(0.9)).labels == ("u1", "u2")
+        assert run_fusion(u, v, cfg(0.1)).labels == ("v1", "v2", "v3")
 
     def test_three_path_fixture(self):
         wg_i, wg_a = three_path_pair()
         for alpha in (0.2, 0.5, 0.8):
-            got = fuse_mbr(wg_i, wg_a, FusionConfig(alpha=alpha))
+            cfg = FusionConfig(method="mbr", alpha=alpha)
+            got = run_fusion(wg_i, wg_a, cfg)
             assert got.labels == ("a", "c", "e")
             assert got.labels == mbr_by_enumeration(wg_i, wg_a, alpha)
 
@@ -89,7 +93,8 @@ class TestMbr:
         for _ in range(40):
             wg_i, wg_a = random_wg(rng), random_wg(rng)
             alpha = float(rng.uniform(0.05, 0.95))
-            got = fuse_mbr(wg_i, wg_a, FusionConfig(alpha=alpha))
+            cfg = FusionConfig(method="mbr", alpha=alpha)
+            got = run_fusion(wg_i, wg_a, cfg)
             assert got.labels == mbr_by_enumeration(wg_i, wg_a, alpha)
 
     def test_output_in_candidate_union(self):
@@ -98,7 +103,7 @@ class TestMbr:
             wg_i, wg_a = random_wg(rng), random_wg(rng)
             union = {l for _, l, _ in dfs_paths(wg_i)}
             union |= {l for _, l, _ in dfs_paths(wg_a)}
-            assert fuse_mbr(wg_i, wg_a).labels in union
+            assert run_fusion(wg_i, wg_a, MBR).labels in union
 
     def test_consensus_collapses_to_unimodal(self):
         rng = np.random.default_rng(53)
@@ -106,15 +111,17 @@ class TestMbr:
             wg = random_wg(rng)
             uni = mbr_decode(wg)
             for alpha in (0.1, 0.5, 0.9):
-                assert fuse_mbr(wg, wg, FusionConfig(alpha=alpha)) == uni
+                cfg = FusionConfig(method="mbr", alpha=alpha)
+                assert run_fusion(wg, wg, cfg) == uni
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(54)
         for _ in range(20):
             wg_i, wg_a = random_wg(rng), random_wg(rng)
             alpha = float(rng.uniform(0.1, 0.9))
-            fwd = fuse_mbr(wg_i, wg_a, FusionConfig(alpha=alpha))
-            rev = fuse_mbr(wg_a, wg_i, FusionConfig(alpha=1.0 - alpha))
+            cfg = lambda a: FusionConfig(method="mbr", alpha=a)
+            fwd = run_fusion(wg_i, wg_a, cfg(alpha))
+            rev = run_fusion(wg_a, wg_i, cfg(1.0 - alpha))
             assert fwd == rev
 
     def test_nbest_truncation_renormalizes(self):
@@ -162,8 +169,9 @@ class TestGlobal:
             want = strip_eps(cn_best_path(cn_from_wg(wg))).labels
             for alpha in (0.1, 0.5, 0.9):
                 for lam in (0.5, 1.0, 2.0):
-                    cfg = FusionConfig(alpha=alpha, laplace_lambda=lam)
-                    assert fuse_global(wg, wg, cfg).labels == want
+                    cfg = FusionConfig(method="global", alpha=alpha,
+                                       laplace_lambda=lam)
+                    assert run_fusion(wg, wg, cfg).labels == want
 
     def test_completely_different_hand_computed(self):
         # both single paths; every cross distance is 1, so each matched pair
@@ -171,7 +179,8 @@ class TestGlobal:
         # over a 2-label union are 2/3 (present) vs 1/3 (absent)
         wg_i = single_path_wg(("a", "b"), 1.0)
         wg_a = single_path_wg(("x", "y"), 1.0)
-        merged = combine_cns(cn_from_wg(wg_i), cn_from_wg(wg_a), 0.7, 1.0)
+        cn_i, cn_a = cn_from_wg(wg_i), cn_from_wg(wg_a)
+        merged = combine_cns(cn_i, cn_a, 0.7, 1.0, dtw_align(cn_i, cn_a)[0])
         assert len(merged) == 4
         hi = (2 / 3) ** 0.7 * (1 / 3) ** 0.3
         lo = (1 / 3) ** 0.7 * (2 / 3) ** 0.3
@@ -180,10 +189,10 @@ class TestGlobal:
         assert col[EPS] == pytest.approx(lo / (hi + lo), abs=1e-12)
         # image-side symbols win at alpha > 0.5, audio's at alpha < 0.5;
         # at exactly 0.5 every column ties and <eps> wins lexicographically
-        cfg = lambda a: FusionConfig(alpha=a)
-        assert fuse_global(wg_i, wg_a, cfg(0.7)).labels == ("a", "b")
-        assert fuse_global(wg_i, wg_a, cfg(0.3)).labels == ("x", "y")
-        assert fuse_global(wg_i, wg_a, cfg(0.5)).labels == ()
+        cfg = lambda a: FusionConfig(method="global", alpha=a)
+        assert run_fusion(wg_i, wg_a, cfg(0.7)).labels == ("a", "b")
+        assert run_fusion(wg_i, wg_a, cfg(0.3)).labels == ("x", "y")
+        assert run_fusion(wg_i, wg_a, cfg(0.5)).labels == ()
 
     def test_diamond_vs_linear_trace(self):
         # worked trace: c_i = [{a:.6, b:.4}, {c:1}], c_a = [{a:1}, {c:1}];
@@ -193,7 +202,8 @@ class TestGlobal:
             (0, 1, "a", 0.6), (0, 1, "b", 0.4), (1, 3, "c", 1.0),
         ])
         wg_a = single_path_wg(("a", "c"), 1.0)
-        merged = combine_cns(cn_from_wg(wg_i), cn_from_wg(wg_a), 0.5, 1.0)
+        cn_i, cn_a = cn_from_wg(wg_i), cn_from_wg(wg_a)
+        merged = combine_cns(cn_i, cn_a, 0.5, 1.0, dtw_align(cn_i, cn_a)[0])
         assert len(merged) == 2
         sa = math.sqrt((1.6 / 3) * (2 / 3))
         sb = math.sqrt((1.4 / 3) * (1 / 3))
@@ -201,7 +211,7 @@ class TestGlobal:
         assert col["a"] == pytest.approx(sa / (sa + sb), abs=1e-12)
         assert col["b"] == pytest.approx(sb / (sa + sb), abs=1e-12)
         assert merged.subnetworks[1] == {"c": 1.0}
-        assert fuse_global(wg_i, wg_a).labels == ("a", "c")
+        assert run_fusion(wg_i, wg_a, GLOBAL).labels == ("a", "c")
 
     def test_merge_subnetworks_normalizes(self):
         col = merge_subnetworks({"a": 0.6, "b": 0.4}, {"a": 1.0}, 0.5, 1.0)
@@ -215,14 +225,16 @@ class TestGlobal:
             wg_i = random_wg(rng, vocab=CLOSE_TOKENS)
             wg_a = random_wg(rng, vocab=CLOSE_TOKENS)
             alpha = float(rng.uniform(0.1, 0.9))
-            fwd = fuse_global(wg_i, wg_a, FusionConfig(alpha=alpha))
-            rev = fuse_global(wg_a, wg_i, FusionConfig(alpha=1.0 - alpha))
+            cfg = lambda a: FusionConfig(method="global", alpha=a)
+            fwd = run_fusion(wg_i, wg_a, cfg(alpha))
+            rev = run_fusion(wg_a, wg_i, cfg(1.0 - alpha))
             assert fwd.labels == rev.labels
 
     def test_gap_step_merges_with_eps(self):
         wg_i = single_path_wg(("xa",), 1.0)
         wg_a = single_path_wg(("xa", "xb", "xc"), 1.0)
-        merged = combine_cns(cn_from_wg(wg_i), cn_from_wg(wg_a), 0.5, 1.0)
+        cn_i, cn_a = cn_from_wg(wg_i), cn_from_wg(wg_a)
+        merged = combine_cns(cn_i, cn_a, 0.5, 1.0, dtw_align(cn_i, cn_a)[0])
         assert len(merged) == 3
         assert EPS in merged.subnetworks[1]
         assert EPS in merged.subnetworks[2]
@@ -231,12 +243,13 @@ class TestGlobal:
 class TestLocal:
     def test_identical_best_paths(self):
         wg = single_path_wg(("m", "n", "o"))
-        assert fuse_local(wg, wg).labels == ("m", "n", "o")
+        assert run_fusion(wg, wg, LOCAL).labels == ("m", "n", "o")
 
     def test_gap_inside_alignment(self):
         wg_i = single_path_wg(("a", "b", "d", "e"), 0.9)
         wg_a = single_path_wg(("a", "b", "c", "d", "e"), 0.8)
-        assert fuse_local(wg_i, wg_a).labels == ("a", "b", "c", "d", "e")
+        assert run_fusion(wg_i, wg_a, LOCAL).labels == (
+            "a", "b", "c", "d", "e")
 
     def test_conflict_resolved_by_score(self):
         wg_i = WordGraph(4, 0, {3}, [
@@ -245,14 +258,14 @@ class TestLocal:
         wg_a = WordGraph(4, 0, {3}, [
             (0, 1, "a", 1.0), (1, 2, "Y", 0.4), (2, 3, "c", 1.0),
         ])
-        assert fuse_local(wg_i, wg_a).labels == ("a", "X", "c")
-        assert fuse_local(wg_a, wg_i).labels == ("a", "X", "c")
+        assert run_fusion(wg_i, wg_a, LOCAL).labels == ("a", "X", "c")
+        assert run_fusion(wg_a, wg_i, LOCAL).labels == ("a", "X", "c")
 
     def test_score_tie_prefers_image(self):
         wg_i = WordGraph(2, 0, {1}, [(0, 1, "L", 0.5)])
         wg_a = WordGraph(2, 0, {1}, [(0, 1, "R", 0.5)])
         # disjoint single tokens: empty alignment, both kept, image first
-        assert fuse_local(wg_i, wg_a).labels == ("L", "R")
+        assert run_fusion(wg_i, wg_a, LOCAL).labels == ("L", "R")
 
     def test_conflict_tie_image_side(self):
         wg_i = WordGraph(4, 0, {3}, [
@@ -261,13 +274,14 @@ class TestLocal:
         wg_a = WordGraph(4, 0, {3}, [
             (0, 1, "a", 1.0), (1, 2, "Y", 0.5), (2, 3, "c", 1.0),
         ])
-        assert fuse_local(wg_i, wg_a).labels == ("a", "X", "c")
-        assert fuse_local(wg_a, wg_i).labels == ("a", "Y", "c")
+        assert run_fusion(wg_i, wg_a, LOCAL).labels == ("a", "X", "c")
+        assert run_fusion(wg_a, wg_i, LOCAL).labels == ("a", "Y", "c")
 
     def test_unaligned_edges_kept_in_order(self):
         wg_i = single_path_wg(("p", "a", "b", "c"), 0.9)
         wg_a = single_path_wg(("a", "b", "c", "q"), 0.9)
-        assert fuse_local(wg_i, wg_a).labels == ("p", "a", "b", "c", "q")
+        assert run_fusion(wg_i, wg_a, LOCAL).labels == (
+            "p", "a", "b", "c", "q")
 
 
 class TestDispatchAndIdentity:
@@ -303,7 +317,7 @@ class TestDispatchAndIdentity:
             wg = random_wg(rng)
             bp = best_path(wg)[0].labels
             uni_cn = strip_eps(cn_best_path(cn_from_wg(wg))).labels
-            assert fuse_mbr(wg, wg) == mbr_decode(wg)
+            assert run_fusion(wg, wg, MBR) == mbr_decode(wg)
             assert fuse_lightly(wg, wg).labels == bp
-            assert fuse_local(wg, wg).labels == bp
-            assert fuse_global(wg, wg).labels == uni_cn
+            assert run_fusion(wg, wg, LOCAL).labels == bp
+            assert run_fusion(wg, wg, GLOBAL).labels == uni_cn

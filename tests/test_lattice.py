@@ -159,7 +159,16 @@ class TestConstruction:
 
     def test_score_printed_with_twelve_digits(self):
         with invalid("edge score outside (0, 1]: E 0 1 a 1.00000000012"):
-            WordGraph(2, 0, {1}, [(0, 1, "a", 1.000000000123456)])
+            WordGraph(2, 0, {1}, [(0, 1, "a", 1.00000000012)])
+        with invalid("edge label empty or has whitespace: E 0 1 a b 1"):
+            WordGraph(2, 0, {1}, [(0, 1, "a b", 1.0)])
+
+    @pytest.mark.parametrize("score", [1.0000000000001, 1.000000000123456],
+                             ids=["rounds-to-1", "rounds-to-1.00000000012"])
+    def test_inexact_twelve_digit_score_printed_in_full(self, score):
+        # 12 digits of the first would print "1", a score inside (0, 1]
+        with invalid(f"edge score outside (0, 1]: E 0 1 a {score!r}"):
+            WordGraph(2, 0, {1}, [(0, 1, "a", score)])
 
     def test_non_finite_score(self):
         for score, text in ((math.nan, "nan"), (math.inf, "inf")):

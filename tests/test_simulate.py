@@ -16,10 +16,7 @@ from latfuse import (
     calibrate_noise,
     default_vocabulary,
     edit_distance,
-    fuse_global,
     fuse_lightly,
-    fuse_local,
-    fuse_mbr,
     generate_wg_pair,
     run_fusion,
     validate_wg,
@@ -83,12 +80,12 @@ class TestGenerator:
         rng = fresh_rng(2)
         truth = SymbolSequence(tuple(vocab.tokens[i] for i in rng.integers(0, 40, 8)))
         wg_i, wg_a = generate_wg_pair(truth, 0.0, 0.0, spec, rng)
-        cfg = FusionConfig()
-        assert fuse_mbr(wg_i, wg_a, cfg).labels == truth.labels
+        fuse = lambda m: run_fusion(wg_i, wg_a, FusionConfig(method=m))
+        assert fuse("mbr").labels == truth.labels
         assert fuse_lightly(wg_i, wg_a).labels == truth.labels
         assert fuse_lightly(wg_a, wg_i).labels == truth.labels
-        assert fuse_global(wg_i, wg_a, cfg).labels == truth.labels
-        assert fuse_local(wg_i, wg_a, cfg).labels == truth.labels
+        assert fuse("global").labels == truth.labels
+        assert fuse("local").labels == truth.labels
 
     def test_lattices_always_valid(self):
         spec = small_spec()
