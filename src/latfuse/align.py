@@ -32,7 +32,7 @@ def _myers_block(eq, pv, mv, hp_in, hm_in, full, top):
     xh = (((eq & pv) + pv) ^ pv) | eq
     ph = (mv | ~(xh | pv)) & full
     mh = pv & xh
-    hp_out, hm_out = (ph >> top) & 1, (mh >> top) & 1
+    hp_out, hm_out = ph >> top, mh >> top  # 0 or 1: both are masked by full
     ph = (ph << 1) | hp_in
     mh = (mh << 1) | hm_in
     return (mh | ~(xv | ph)) & full, ph & xv, hp_out, hm_out
@@ -63,14 +63,15 @@ def _label_tuple(seq):
 
 
 def _encode(seqs, ids):
-    """Pack sequences into a -1-padded int32 id matrix."""
-    width = max(map(len, seqs), default=0)
-    mat = np.full((len(seqs), width), -1, dtype=np.int32)
-    for r, s in enumerate(seqs):
-        for j, tok in enumerate(s):
-            if tok not in ids:
-                ids[tok] = len(ids)
-            mat[r, j] = ids[tok]
+    """Pack sequences into a -1-padded int32 id matrix.
+
+    Ids are numbered in order of first appearance; one flat id list fills
+    the mask of real positions, row by row.
+    """
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    mat = np.full((len(seqs), lens.max(initial=0)), -1, dtype=np.int32)
+    mat[np.arange(mat.shape[1]) < lens[:, None]] = [
+        ids.setdefault(tok, len(ids)) for s in seqs for tok in s]
     return mat
 
 
@@ -79,9 +80,12 @@ def edit_distance_matrix(cands, refs) -> np.ndarray:
 
     Equivalent to nested ``edit_distance`` calls (tokens must be hashable)
     but batched: the refs are the bit-vector pattern, in 64-bit words, and
-    each candidate token advances every (candidate, ref) pair through
-    ``_myers_block`` at once.  Row i of the result is read after candidate
-    i's last token.  This is what makes risk evaluation over hundreds of
+    each candidate token advances a whole (prefix, ref) row of pairs
+    through ``_myers_block`` at once.  Candidates sharing a prefix share its
+    rows: sorted with ``np.lexsort`` they fall into contiguous groups, and
+    at depth i each distinct length-i prefix advances once, from its parent
+    prefix's row.  A candidate's distances are read from its own prefix row
+    at its own length.  This is what makes risk evaluation over hundreds of
     lattice paths affordable.
     """
     cand_seqs = [_label_tuple(c) for c in cands]
@@ -97,25 +101,39 @@ def edit_distance_matrix(cands, refs) -> np.ndarray:
         peq[k // 64, rmat[:, k], ref_idx] |= np.uint64(1 << (k % 64))
     peq[:, -1] = 0
     valid = np.bitwise_or.reduce(peq, axis=1)
-    shape = (len(cand_seqs), len(ref_seqs))
+    # padding sorts first, so a prefix comes before its extensions
+    order = (np.lexsort(cmat.T[::-1]) if cmat.size
+             else np.arange(len(cand_seqs)))
+    cmat = cmat[order]
+    clens = np.count_nonzero(cmat >= 0, axis=1)
+    # new[r, i]: sorted candidate r is the first with its length-i prefix;
+    # prefix[r, i] numbers that prefix's row at depth i (one row at depth 0)
+    differs = np.ones((len(cand_seqs), cmat.shape[1] + 1), dtype=bool)
+    differs[1:, 0] = False
+    differs[1:, 1:] = np.logical_or.accumulate(cmat[1:] != cmat[:-1], axis=1)
+    new = differs & (clens[:, None] >= np.arange(cmat.shape[1] + 1))
+    prefix = np.cumsum(new, axis=0) - 1
     full = (1 << 64) - 1
-    pv = [np.full(shape, full, dtype=np.uint64)] * len(peq)
-    mv = [np.zeros(shape, dtype=np.uint64)] * len(peq)
-    clens = np.array([len(c) for c in cand_seqs])
-    out = np.zeros(shape, dtype=np.int64)
+    pv = [np.full((1, len(ref_seqs)), full, dtype=np.uint64)] * len(peq)
+    mv = [np.zeros((1, len(ref_seqs)), dtype=np.uint64)] * len(peq)
+    out = np.zeros((len(cand_seqs), len(ref_seqs)), dtype=np.int64)
     for i in range(cmat.shape[1] + 1):
         if i:
+            heads = np.flatnonzero(new[:, i])
+            parent = prefix[heads, i - 1]
             hp, hm = 1, 0  # the empty ref prefix costs one more per token
-            for w, eq in enumerate(peq[:, cmat[:, i - 1]]):
+            for w, eq in enumerate(peq[:, cmat[heads, i - 1]]):
                 pv[w], mv[w], hp, hm = _myers_block(
-                    eq, pv[w], mv[w], hp, hm, full, 63
+                    eq, pv[w][parent], mv[w][parent], hp, hm, full, 63
                 )
-        done = clens == i
-        out[done] = i + sum(
-            np.bitwise_count(p[done] & v).astype(np.int64)
-            - np.bitwise_count(m[done] & v)
-            for p, m, v in zip(pv, mv, valid)
-        )
+        done = np.flatnonzero(clens == i)
+        if done.size:
+            rows = prefix[done, i]
+            out[order[done]] = i + sum(
+                np.bitwise_count(p[rows] & v).astype(np.int64)
+                - np.bitwise_count(m[rows] & v)
+                for p, m, v in zip(pv, mv, valid)
+            )
     return out
 
 

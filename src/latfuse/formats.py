@@ -32,13 +32,15 @@ def _content_lines(text: str):
             yield no, line
 
 
-def _parse_score(tok: str, source, no) -> float:
+def _parse_score(tok: str, source, no, above_zero: bool) -> float:
+    """A score in [0, 1] (CN), or in (0, 1] when ``above_zero`` (WG edge)."""
     try:
         value = float(tok)
     except ValueError:
         raise FormatError(source, no, f"bad score {tok!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise FormatError(source, no, f"score {tok!r} outside [0, 1]")
+    if not (0.0 < value <= 1.0 if above_zero else 0.0 <= value <= 1.0):
+        interval = "(0, 1]" if above_zero else "[0, 1]"
+        raise FormatError(source, no, f"score {tok!r} outside {interval}")
     return value
 
 
@@ -113,9 +115,7 @@ def parse_word_graphs(text: str, source: str = "<wg>") -> list:
                 src, dst = int(args[0]), int(args[1])
             except ValueError:
                 raise FormatError(source, no, "bad edge vertex id") from None
-            score = _parse_score(args[3], source, no)
-            if score == 0.0:  # CN scores may be 0, WG edge scores may not
-                raise FormatError(source, no, f"score {args[3]!r} outside (0, 1]")
+            score = _parse_score(args[3], source, no, above_zero=True)
             edges.append(Edge(src, dst, args[2], score))
         elif kw == "WG":
             name, head_no, fields, edges = args[0], no, {}, []
@@ -164,7 +164,8 @@ def parse_cns(text: str, source: str = "<cn>") -> list:
                 raise FormatError(source, no, "A line before any S line")
             if args[0] in subs[-1]:
                 raise FormatError(source, no, f"duplicate label {args[0]!r}")
-            subs[-1][args[0]] = _parse_score(args[1], source, no)
+            score = _parse_score(args[1], source, no, above_zero=False)
+            subs[-1][args[0]] = score
         elif kw == "S":
             if args:
                 raise FormatError(source, no, "expected bare S line")

@@ -22,8 +22,10 @@ without a complete path.
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import LatticeError, PathCountExceededError
@@ -319,13 +321,16 @@ def n_best_paths(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
 def _k_best(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
     """The ``n`` best complete paths by one k-best DP in topological order.
 
-    Each vertex keeps its ``n`` best prefixes as ``(-logscore, vids, labels,
-    scores)`` tuples with log scores summed in path order, so tuple order is
-    the documented order.  Two prefixes ending at the same vertex keep their
-    order under any common extension (up to rounding of the sums), which
-    makes the per-vertex truncation exact.  A path stops at the first final
-    vertex it reaches; the graph is valid, so one does.  The result is
-    memoized per ``n`` in the graph's ``__dict__``; callers get a fresh list.
+    Each vertex keeps its ``n`` best prefixes as back-pointer entries
+    ``(-logscore, parent_entry, edge)``, with log scores summed in path
+    order; the initial vertex holds ``(0.0, None, None)``.  ``_n_best``
+    ranks entries in the documented order.  Two prefixes ending at the same
+    vertex keep their order under any common extension (up to rounding of
+    the sums), which makes the per-vertex truncation exact.  A path stops at
+    the first final vertex it reaches; the graph is valid, so one does.
+    Label and score tuples are built only for the ``n`` survivors.  The
+    result is memoized per ``n`` in the graph's ``__dict__``; callers get a
+    fresh list.
     """
     memo = wg.__dict__.setdefault("_k_best", {})
     if n in memo:
@@ -333,27 +338,60 @@ def _k_best(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
     order = topological_order(wg)
     adj = wg.out_edges()
     state = [[] for _ in range(wg.num_vertices)]
-    state[wg.initial].append((0.0, (wg.initial,), (), ()))
+    state[wg.initial].append((0.0, None, None))
     complete = []
     for v in order:
-        kept = sorted(state[v])[:n]
+        kept = _n_best(state[v], n)
         state[v] = None  # released: each prefix is now extended or complete
         if v in wg.finals:
             complete += kept
             continue
         for e in adj[v]:
             cost = math.log(e.score)
-            state[e.dst] += [
-                (neg - cost, vids + (e.dst,), labels + (e.label,),
-                 scores + (e.score,))
-                for neg, vids, labels, scores in kept
-            ]
-    # 0.0 - neg keeps an all-1.0 path's log score at +0.0, not -0.0
-    memo[n] = [
-        (SymbolSequence(labels, scores), 0.0 - neg)
-        for neg, _vids, labels, scores in sorted(complete)[:n]
-    ]
+            state[e.dst] += [(ent[0] - cost, ent, e) for ent in kept]
+    memo[n] = []
+    for ent in _n_best(complete, n):
+        _, _, labels, scores = zip(*_prefix_edges(ent))
+        # 0.0 - neg keeps an all-1.0 path's log score at +0.0, not -0.0
+        memo[n].append((SymbolSequence(labels, scores), 0.0 - ent[0]))
     return list(memo[n])
+
+
+def _n_best(entries: list, n: int) -> list:
+    """The first ``n`` back-pointer entries by score, then ``_tie_key``.
+
+    Sorts ``entries`` in place by score alone (stably), then re-sorts each
+    run of exactly equal scores that reaches into the first ``n``: only
+    those runs decide the order or the cutoff.
+    """
+    entries.sort(key=itemgetter(0))
+    head = [ent[0] for ent in entries[:n + 1]]
+    if len(set(head)) < len(head):  # some exact tie reaches into the first n
+        negs = [ent[0] for ent in entries]
+        start = 0
+        while start < min(n, len(negs)):
+            stop = bisect_right(negs, negs[start])
+            if stop - start > 1:
+                entries[start:stop] = sorted(entries[start:stop], key=_tie_key)
+            start = stop
+    return entries[:n]
+
+
+def _prefix_edges(ent) -> list[Edge]:
+    """The edges of a back-pointer entry's prefix, in path order (every
+    entry but the initial vertex's has at least one)."""
+    edges = []
+    while ent[2] is not None:
+        edges.append(ent[2])
+        ent = ent[1]
+    edges.reverse()
+    return edges
+
+
+def _tie_key(ent) -> tuple:
+    """A prefix's vertex ids (less the initial one, which all share),
+    labels and scores."""
+    return tuple(zip(*_prefix_edges(ent)))[1:]
 
 
 def path_posteriors(paths: list[tuple[SymbolSequence, float]]) -> list[float]:

@@ -132,6 +132,67 @@ class TestEditDistanceWordBoundaries:
                 assert got[i, j] == edit_distance(a, b) == simple_ed(a, b)
 
 
+def prefix_family(rng, count, alphabet=RNG_TOKENS[:3], max_len=40):
+    """Candidates that share prefixes, as the paths of an n-best do.
+
+    Each one cuts an earlier candidate (the first is empty) and grows a
+    random tail; then some are repeated and some cut short again, so the
+    batch holds duplicates, the empty sequence and candidates that are
+    prefixes of others.
+    """
+    cands = [()]
+    while len(cands) < count:
+        base = cands[int(rng.integers(0, len(cands)))]
+        cut = int(rng.integers(0, len(base) + 1))
+        tail = rng.choice(alphabet, size=int(rng.integers(0, max_len - cut + 1)))
+        cands.append(base[:cut] + tuple(tail))
+    for _ in range(count // 4):
+        cands.append(cands[int(rng.integers(0, len(cands)))])
+        base = cands[int(rng.integers(0, len(cands)))]
+        cands.append(base[: int(rng.integers(0, len(base) + 1))])
+    return cands
+
+
+class TestPrefixSharedKernel:
+    # the candidate side of edit_distance_matrix advances each distinct
+    # prefix once, so batches of shared prefixes in any order are its cases
+
+    def test_hand_made_family(self):
+        cands = [("a", "b", "c"), ("a", "b"), (), ("a", "b", "c"),
+                 ("a", "b", "d"), ("b",), ("a",), ("a", "b", "c", "a")]
+        refs = [(), ("a", "b", "c"), ("b", "a"), ("c", "c", "a", "b")]
+        for batch in (cands, cands[::-1], sorted(cands)):
+            want = [[simple_ed(c, r) for r in refs] for c in batch]
+            assert edit_distance_matrix(batch, refs).tolist() == want
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_shared_prefixes_against_long_refs(self, seed):
+        # refs of 63-129 tokens span two or three 64-bit words
+        rng = np.random.default_rng(seed)
+        cands = prefix_family(rng, 12)
+        assert () in cands and len(set(cands)) < len(cands)
+        assert any(a != b and b[: len(a)] == a for a in cands for b in cands)
+        refs = [tuple(rng.choice(RNG_TOKENS[:3], size=n))
+                for n in (63, 64, 65, 100, 128, 129)]
+        refs.append(cands[-1])
+        order = rng.permutation(len(cands))
+        for batch in ([cands[k] for k in order], cands[::-1]):
+            want = [[simple_ed(c, r) for r in refs] for c in batch]
+            assert edit_distance_matrix(batch, refs).tolist() == want
+
+    def test_permuting_candidates_permutes_rows(self):
+        rng = np.random.default_rng(64)
+        cands = prefix_family(rng, 40, max_len=30)
+        refs = [tuple(rng.choice(RNG_TOKENS, size=n)) for n in (0, 5, 30, 70)]
+        base = edit_distance_matrix(cands, refs)
+        for perm in (rng.permutation(len(cands)), np.arange(len(cands))[::-1],
+                     np.array(sorted(range(len(cands)), key=cands.__getitem__))):
+            got = edit_distance_matrix([cands[k] for k in perm], refs)
+            assert (got == base[perm]).all()
+        for c, row in zip(cands, base.tolist()):
+            assert row == [edit_distance(c, r) for r in refs]
+
+
 class TestPivotAlignment:
     def test_matches_full_matrix_oracle(self):
         rng = np.random.default_rng(41)

@@ -161,10 +161,12 @@ class TestErrorPaths:
              "graph: edge endpoint out of range: E 0 9 c 0.5"),
             # a zero score is refused at its own E line, like any bad score
             ("E 0 1 a 0\nE 1 2 b 0.5\n", ":5: score '0' outside (0, 1]"),
+            ("E 0 1 a 0.5\nE 1 2 b 1.5\n", ":6: score '1.5' outside (0, 1]"),
             ("E 0 1 a 0.5\nE 1 2 b 0.5\nE 2 3 c 0.5\n", ":1: invalid word "
              "graph: edge leaves final vertex: E 2 3 c 0.5"),
         ],
-        ids=["vertex-out-of-range", "zero-score", "edge-leaves-final"],
+        ids=["vertex-out-of-range", "zero-score", "score-above-one",
+             "edge-leaves-final"],
     )
     def test_invalid_word_graph_exit_2(self, tmp_path, capsys, edges, message):
         bad = tmp_path / "bad.wg"

@@ -246,9 +246,11 @@ class TestMutationFuzz:
         # the WG texts of test_parse_or_format_error; 35 of the 51 invalid
         # records sit in texts that would parse without the constructor check.
         # A zero edge score is refused at its own E line: 11 of those 51
-        # records, and 6 texts whose first error used to come after it.
+        # records, and 6 texts whose first error used to come after it.  So
+        # is any other score outside (0, 1]: 14 more texts (1.5, 2, 9, inf,
+        # nan and -1), which read "outside [0, 1]" before.
         rng = np.random.default_rng(91)
-        outcomes = {"parsed": 0, "invalid": 0, "zero score": 0}
+        outcomes = {"parsed": 0, "invalid": 0, "score range": 0}
         for _ in range(1000):
             text = mutate_text(write_wg(random_wg(rng), "r") * 2, rng)
             try:
@@ -260,10 +262,10 @@ class TestMutationFuzz:
                     outcomes["invalid"] += 1
                 elif str(err).endswith(" outside (0, 1]"):
                     assert line.split()[0] == "E"
-                    outcomes["zero score"] += 1
+                    outcomes["score range"] += 1
             else:
                 outcomes["parsed"] += 1
-        assert outcomes == {"parsed": 186, "invalid": 40, "zero score": 17}
+        assert outcomes == {"parsed": 186, "invalid": 40, "score range": 31}
 
 
 class TestValues:

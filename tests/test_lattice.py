@@ -26,7 +26,7 @@ from latfuse import (
     validate_wg,
 )
 from latfuse import lattice
-from latgen import random_wg
+from latgen import LETTERS, random_wg
 from oracles import best_path_by_enumeration, dfs_paths, n_best_by_enumeration
 
 
@@ -347,6 +347,70 @@ class TestNBest:
         for n in (0, -1):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 n_best_paths(wg, n)
+
+
+def all_tied_wg(rng, widths, parallel):
+    """Layered graph whose every edge scores 0.5, so every path ties.
+
+    ``widths`` counts the vertices of each inner layer; every vertex links
+    to every vertex of the next layer.  Inner vertex ids are shuffled, so
+    id order need not follow label order.  With ``parallel`` each vertex pair
+    gets one to three edges with distinct labels.
+    """
+    ids = iter(1 + rng.permutation(sum(widths)))
+    layers = [[0], *([int(next(ids)) for _ in range(w)] for w in widths),
+              [sum(widths) + 1]]
+    edges = []
+    for here, there in zip(layers, layers[1:]):
+        for u in here:
+            for v in there:
+                k = int(rng.integers(1, 4)) if parallel else 1
+                edges += [(u, v, str(lab), 0.5)
+                          for lab in rng.choice(LETTERS, size=k, replace=False)]
+    return WordGraph(sum(widths) + 2, 0, {sum(widths) + 1}, edges)
+
+
+class TestNBestTieCutoff:
+    # every path ties, so the cutoff at n falls inside a tie run at every
+    # vertex, for every n
+
+    @pytest.mark.parametrize(
+        "widths, parallel",
+        [((1, 1, 1, 1), True),   # a sausage: only parallel edges branch
+         ((2, 3, 2), False),
+         ((2, 1, 3), True),
+         ((3, 2, 1, 2), False)],
+        ids=["sausage", "layers", "layers-parallel", "layers-wide"],
+    )
+    def test_every_n_matches_enumeration(self, widths, parallel):
+        rng = np.random.default_rng(sum(widths) + 7 * parallel)
+        wg = all_tied_wg(rng, widths, parallel)
+        total = count_paths(wg)
+        assert total >= 8
+        ranked = [(labels, ls) for _, labels, ls
+                  in n_best_by_enumeration(wg, total)]
+        assert len({ls for _, ls in ranked}) == 1
+        for n in range(1, total + 1):
+            got = n_best_paths(wg, n)
+            assert [(seq.labels, ls) for seq, ls in got] == ranked[:n]
+
+    def test_tie_run_after_a_distinct_best(self):
+        # f g (0.5) is best; a b c, d e and h i j tie at 0.25.  Vertex 7 meets
+        # them in the order d e, h i j, a b c (its predecessors' topological
+        # order), but a b c has the smallest vertex ids (0 1 6 7)
+        wg = WordGraph(
+            8, 0, {7},
+            [(0, 1, "a", 0.5), (1, 6, "b", 0.5), (6, 7, "c", 1.0),
+             (0, 2, "d", 0.5), (2, 7, "e", 0.5),
+             (0, 3, "f", 1.0), (3, 7, "g", 0.5),
+             (0, 4, "h", 0.5), (4, 5, "i", 0.5), (5, 7, "j", 1.0)],
+        )
+        ranked = [(labels, ls) for _, labels, ls in n_best_by_enumeration(wg, 4)]
+        assert [labels for labels, _ in ranked] == [
+            ("f", "g"), ("a", "b", "c"), ("d", "e"), ("h", "i", "j")]
+        for n in range(1, 5):
+            got = n_best_paths(wg, n)
+            assert [(seq.labels, ls) for seq, ls in got] == ranked[:n]
 
 
 class TestDecodeMemo:
