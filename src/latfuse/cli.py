@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input file (the message
-names the line; a word graph that fails validation is one), 3 domain error
-(e.g. files of unequal length).
+names the line; a word graph that fails validation is one) or unusable
+output directory, 3 domain error (e.g. files of unequal length).
 """
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .align import SWParams
@@ -23,6 +25,7 @@ from .fusion import METHODS, FusionConfig, run_fusion
 from .lattice import MAX_PATHS, best_path, cn_from_wg
 from .metrics import EvalPair, ser, wilcoxon_signed_rank
 from .simulate import (
+    DEFAULT_ALPHA_STEP,
     alpha_grid_from_step,
     dump_scenario_corpus,
     grid_specs,
@@ -78,11 +81,21 @@ def _read(path):
         raise FormatError(path, 0, f"cannot read file: {exc.strerror}") from None
 
 
+@contextlib.contextmanager
+def _writing_to(out_dir):
+    """Report an OSError on the output directory as a one-line exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise FormatError(out_dir, 0, f"cannot write reports: {exc.strerror}") from None
+
+
 def _load_wg(path):
     return parse_single(parse_word_graphs(_read(path), source=path), "WG", path)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    fusion, sw = FusionConfig(), SWParams()
     parser = _Parser(prog="latfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -106,12 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(m.replace("_", "-") for m in METHODS))
     p.add_argument("--image", required=True, metavar="FILE")
     p.add_argument("--audio", required=True, metavar="FILE")
-    p.add_argument("--alpha", type=_alpha, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=fusion.alpha)
     p.add_argument("--lambda", dest="laplace_lambda",
-                   type=_positive(float), default=1.0)
-    p.add_argument("--sw-match", type=_positive(float), default=2.0)
-    p.add_argument("--sw-mismatch", type=_non_positive_float, default=-1.0)
-    p.add_argument("--sw-gap", type=_non_positive_float, default=-2.0)
+                   type=_positive(float), default=fusion.laplace_lambda)
+    p.add_argument("--sw-match", type=_positive(float), default=sw.match_score)
+    p.add_argument("--sw-mismatch", type=_non_positive_float,
+                   default=sw.mismatch_penalty)
+    p.add_argument("--sw-gap", type=_non_positive_float, default=sw.gap_penalty)
     p.add_argument("--max-paths", type=_positive(int), default=MAX_PATHS)
 
     p = sub.add_parser("eval-ser",
@@ -124,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true", required=True)
     p.add_argument("--trials", type=_positive(int), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alpha-step", type=_alpha, default=0.1)
+    p.add_argument("--alpha-step", type=_alpha, default=DEFAULT_ALPHA_STEP)
     p.add_argument("--out", default="reports", metavar="DIR")
     p.add_argument("--dump-lattices", action="store_true",
                    help="also write the generated corpora in WG text format")
@@ -177,13 +191,15 @@ def _cmd_eval_ser(args):
 
 def _cmd_simulate(args):
     specs = grid_specs(trials=args.trials, seed=args.seed)
-    reports = run_scenario_grid(
-        specs, alpha_grid=alpha_grid_from_step(args.alpha_step)
-    )
-    paths = write_grid_reports(reports, args.out)
-    if args.dump_lattices:
-        for report in reports:
-            paths.extend(dump_scenario_corpus(report, args.out))
+    alpha_grid = alpha_grid_from_step(args.alpha_step)
+    with _writing_to(args.out):  # an unusable directory fails before the grid
+        os.makedirs(args.out, exist_ok=True)
+    reports = run_scenario_grid(specs, alpha_grid=alpha_grid)
+    with _writing_to(args.out):
+        paths = write_grid_reports(reports, args.out)
+        if args.dump_lattices:
+            for report in reports:
+                paths.extend(dump_scenario_corpus(report, args.out))
     print(f"wrote {len(paths)} files to {args.out}")
 
 

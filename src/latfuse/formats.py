@@ -229,13 +229,16 @@ def parse_single(records: list, kind: str, source: str):
 
 
 def read_values(text: str, source: str = "<values>") -> list:
-    """One number per line; blank and ``#`` comment lines are skipped."""
+    """One finite number per line; blank and ``#`` comment lines are skipped."""
     values = []
     for no, line in _content_lines(text):
         try:
-            values.append(float(line))
+            value = float(line)
+            if not np.isfinite(value):
+                raise ValueError
         except ValueError:
             raise FormatError(source, no, f"bad number {line!r}") from None
+        values.append(value)
     return values
 
 

@@ -82,12 +82,14 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     ranks.  The p-value is exact (sign enumeration) for up to 20 effective
     pairs and a tie-corrected normal approximation beyond that.  The verdict
     direction comes from the rank sums: "greater" means ``a`` tends to be
-    larger than ``b``.
+    larger than ``b``.  Every value must be finite.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("a and b must be 1-D and the same length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("a and b must be finite")
     if len(a) < 2:
         raise ValueError("need at least 2 pairs")
     diff = a - b

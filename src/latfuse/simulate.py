@@ -43,6 +43,18 @@ _P_SUB, _P_DEL = 0.5, 0.25  # remainder: insertion
 _CORRECT_CONC = (8.0, 1.0)
 _ERROR_CONC = (2.0, 1.2)
 
+# Sausage shape: alternatives per spine position, and the chance that a
+# corrupted position keeps its true label among them.
+_BRANCHING = 3
+_TRUTH_IN_LATTICE_PROB = 0.9
+
+# Systematic-confusion neighborhood: a substitution error replaces a token
+# with one at most this many vocabulary positions away, and sausage
+# alternatives come from the same neighborhood of the emitted label.  Shared
+# neighborhoods across modalities are what let one modality's errors surface
+# in the other's lattice, as real recognizer confusions do.
+_CONFUSION_WIDTH = 2
+
 # Stream tags so calibration and trial RNG streams never collide.
 _CAL_STREAM = 0xCA11B
 _TRIAL_STREAM = 0x7121A1
@@ -50,25 +62,14 @@ _TRIAL_STREAM = 0x7121A1
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One cell of the difficulty grid plus the generator knobs.
-
-    ``confusion_width`` bounds the systematic-confusion neighborhood: a
-    substitution error replaces a token with one at most this many vocabulary
-    positions away, and sausage alternatives come from the same neighborhood
-    of the emitted label.  Shared neighborhoods across modalities are what
-    let one modality's errors surface in the other's lattice, as real
-    recognizer confusions do.
-    """
+    """One cell of the difficulty grid plus the corpus it is run on."""
 
     image_level: str
     audio_level: str
     trials: int = 50
     sequence_length_range: tuple = (10, 30)
     vocab_size: int = 100
-    branching: int = 3
     seed: int = 0
-    truth_in_lattice_prob: float = 0.9
-    confusion_width: int = 2
 
     def __post_init__(self):
         if self.image_level not in LEVELS or self.audio_level not in LEVELS:
@@ -78,18 +79,8 @@ class ScenarioSpec:
         lo, hi = self.sequence_length_range
         if not 1 <= lo <= hi:
             raise ValueError("bad sequence_length_range")
-        if self.branching < 1:
-            raise ValueError("branching must be >= 1")
-        if self.vocab_size < self.branching + 1:
-            raise ValueError("vocab_size must exceed branching")
-        if not 0.0 <= self.truth_in_lattice_prob <= 1.0:
-            raise ValueError("truth_in_lattice_prob must be in [0, 1]")
-        if not 1 <= self.confusion_width:
-            raise ValueError("confusion_width must be >= 1")
-        if 2 * self.confusion_width >= self.vocab_size:
-            raise ValueError("confusion_width too large for the vocabulary")
-        if self.branching - 1 > 2 * self.confusion_width:
-            raise ValueError("branching exceeds the confusion neighborhood")
+        if self.vocab_size <= 2 * _CONFUSION_WIDTH:
+            raise ValueError("vocab_size too small for the confusion neighborhood")
 
 
 def default_vocabulary(size: int) -> Vocabulary:
@@ -113,17 +104,16 @@ def _draw_corruption(n: int, rng) -> dict:
     }
 
 
-def _neighborhood(index: int, size: int, width: int) -> list:
+def _neighborhood(index: int, size: int) -> list:
     """Confusable vocabulary indices around ``index`` (itself excluded)."""
     return [
         (index + off) % size
-        for off in range(-width, width + 1)
+        for off in range(-_CONFUSION_WIDTH, _CONFUSION_WIDTH + 1)
         if off != 0
     ]
 
 
-def _corrupt(truth: tuple, rate: float, draws: dict, vocab: Vocabulary,
-             width: int) -> list:
+def _corrupt(truth: tuple, rate: float, draws: dict, vocab: Vocabulary) -> list:
     """Corrupt a label tuple into spine items (label, truth_hint, is_error).
 
     ``truth_hint`` is the ground-truth label underlying the position (None
@@ -138,7 +128,7 @@ def _corrupt(truth: tuple, rate: float, draws: dict, vocab: Vocabulary,
         if draws["u_err"][i] < rate:
             kind = draws["u_type"][i]
             if kind < _P_SUB:
-                neigh = _neighborhood(index[lab], len(tokens), width)
+                neigh = _neighborhood(index[lab], len(tokens))
                 j = neigh[draws["sub_pick"][i] % len(neigh)]
                 spine.append((tokens[j], lab, True))
             elif kind < _P_SUB + _P_DEL:
@@ -154,7 +144,7 @@ def _corrupt(truth: tuple, rate: float, draws: dict, vocab: Vocabulary,
     return spine
 
 
-def _wrap_sausage(spine: list, spec: ScenarioSpec, rng, vocab: Vocabulary) -> WordGraph:
+def _wrap_sausage(spine: list, rng, vocab: Vocabulary) -> WordGraph:
     """Wrap spine positions in scored alternative sets, one sausage segment each.
 
     Alternatives beyond the spine label (and the optionally injected true
@@ -168,11 +158,11 @@ def _wrap_sausage(spine: list, spec: ScenarioSpec, rng, vocab: Vocabulary) -> Wo
         if (
             hint is not None
             and hint != lab
-            and rng.random() < spec.truth_in_lattice_prob
+            and rng.random() < _TRUTH_IN_LATTICE_PROB
         ):
             alts.append(hint)
-        neigh = _neighborhood(index[lab], len(tokens), spec.confusion_width)
-        while len(alts) < spec.branching:
+        neigh = _neighborhood(index[lab], len(tokens))
+        while len(alts) < _BRANCHING:
             cand = tokens[neigh[rng.integers(0, len(neigh))]]
             if cand not in alts:
                 alts.append(cand)
@@ -206,8 +196,8 @@ def generate_wg_pair(
     out = []
     for rate in (noise_i, noise_a):
         draws = _draw_corruption(len(truth.labels), rng)
-        spine = _corrupt(truth.labels, rate, draws, vocab, spec.confusion_width)
-        out.append(_wrap_sausage(spine, spec, rng, vocab))
+        spine = _corrupt(truth.labels, rate, draws, vocab)
+        out.append(_wrap_sausage(spine, rng, vocab))
     return out[0], out[1]
 
 
@@ -223,13 +213,11 @@ def _calibration_corpus(spec: ScenarioSpec, rng) -> list:
     return corpus
 
 
-def _corpus_spine_ser(
-    corpus: list, rate: float, vocab: Vocabulary, width: int
-) -> float:
+def _corpus_spine_ser(corpus: list, rate: float, vocab: Vocabulary) -> float:
     num = 0
     den = 0
     for truth, draws in corpus:
-        spine = [lab for lab, _, _ in _corrupt(truth, rate, draws, vocab, width)]
+        spine = [lab for lab, _, _ in _corrupt(truth, rate, draws, vocab)]
         num += edit_distance(spine, truth)
         den += len(truth)
     return 100.0 * num / den
@@ -253,7 +241,7 @@ def calibrate_noise(target: float, spec: ScenarioSpec, rng) -> float:
     best_rate, best_err = 0.0, abs(target)
     for _ in range(CALIBRATION_MAX_ITERS):
         mid = (lo + hi) / 2.0
-        measured = _corpus_spine_ser(corpus, mid, vocab, spec.confusion_width)
+        measured = _corpus_spine_ser(corpus, mid, vocab)
         err = abs(measured - target)
         if err < best_err:
             best_rate, best_err = mid, err
@@ -267,25 +255,23 @@ def calibrate_noise(target: float, spec: ScenarioSpec, rng) -> float:
 
 
 def alpha_grid_from_step(step: float) -> tuple:
-    """Interior alpha grid {step, 2*step, ...} strictly inside (0, 1)."""
+    """Interior alpha grid {step, 2*step, ...}: every multiple, rounded to 10
+    decimals, that lies strictly inside (0, 1)."""
     if not 0.0 < step < 1.0:
         raise ValueError("alpha step must be in (0, 1)")
-    n = int(round(1.0 / step))
-    grid = tuple(round(k * step, 10) for k in range(1, n))
-    if not grid or not all(0.0 < a < 1.0 for a in grid):
+    if not 0.0 < round(step, 10) < 1.0:
         raise ValueError("alpha step leaves no interior grid points")
-    return grid
+    multiples = (round(k * step, 10) for k in range(1, int(1.0 / step) + 2))
+    return tuple(a for a in multiples if a < 1.0)
 
 
 DEFAULT_ALPHA_GRID = alpha_grid_from_step(DEFAULT_ALPHA_STEP)
 
 
-def grid_specs(trials: int, seed: int, **overrides) -> list:
+def grid_specs(trials: int, seed: int) -> list:
     """The standard nine scenarios: image level major, audio level minor."""
     return [
-        ScenarioSpec(
-            image_level=li, audio_level=la, trials=trials, seed=seed, **overrides
-        )
+        ScenarioSpec(image_level=li, audio_level=la, trials=trials, seed=seed)
         for li in LEVELS
         for la in LEVELS
     ]
@@ -301,9 +287,7 @@ class ScenarioReport:
     noise_audio: float
     alpha_grid: tuple
     baseline_ser: dict
-    baseline_trials: dict
     cells: dict
-    cell_trials: dict
     best_alpha: dict
     wilcoxon: dict
 
@@ -402,21 +386,21 @@ def run_scenario(
         noise_audio=noise_a,
         alpha_grid=tuple(alpha_grid),
         baseline_ser=baseline_ser,
-        baseline_trials={k: _per_trial(v) for k, v in baseline_trials.items()},
         cells=cells,
-        cell_trials={k: _per_trial(v) for k, v in cell_trials.items()},
         best_alpha=best_alpha,
         wilcoxon=wilcoxon,
     )
 
 
+def _cal_rng(spec: ScenarioSpec, level: str, *tail: int):
+    return np.random.default_rng(
+        np.random.SeedSequence([_CAL_STREAM, spec.seed, LEVELS.index(level), *tail])
+    )
+
+
 def calibrated_rate(spec: ScenarioSpec, level: str) -> float:
     """Noise rate for a difficulty level, from its own deterministic stream."""
-    target = LEVEL_TARGET_SER[level]
-    rng = np.random.default_rng(
-        np.random.SeedSequence([_CAL_STREAM, spec.seed, LEVELS.index(level)])
-    )
-    return calibrate_noise(target, spec, rng)
+    return calibrate_noise(LEVEL_TARGET_SER[level], spec, _cal_rng(spec, level))
 
 
 def measure_calibrated_level(spec: ScenarioSpec, level: str) -> tuple:
@@ -427,19 +411,14 @@ def measure_calibrated_level(spec: ScenarioSpec, level: str) -> tuple:
     pools the SER.  Returns (rate, measured SER); deterministic per seed.
     """
     rate = calibrated_rate(spec, level)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([_CAL_STREAM, spec.seed, LEVELS.index(level)])
-    )
-    corpus = _calibration_corpus(spec, rng)
-    wrap_rng = np.random.default_rng(
-        np.random.SeedSequence([_CAL_STREAM, spec.seed, LEVELS.index(level), 1])
-    )
+    corpus = _calibration_corpus(spec, _cal_rng(spec, level))
+    wrap_rng = _cal_rng(spec, level, 1)
     vocab = default_vocabulary(spec.vocab_size)
     num = 0
     den = 0
     for truth, draws in corpus:
-        spine = _corrupt(truth, rate, draws, vocab, spec.confusion_width)
-        wg = _wrap_sausage(spine, spec, wrap_rng, vocab)
+        spine = _corrupt(truth, rate, draws, vocab)
+        wg = _wrap_sausage(spine, wrap_rng, vocab)
         hyp, _ = best_path(wg)
         num += edit_distance(hyp.labels, truth)
         den += len(truth)
@@ -450,19 +429,13 @@ def run_scenario_grid(specs, alpha_grid=DEFAULT_ALPHA_GRID) -> list:
     """Run every scenario spec (numbered from 1) and collect the reports.
 
     Noise rates are calibrated once per distinct tuple of what calibration
-    reads (level, seed, vocabulary size, length range, confusion width) and
-    shared across scenarios.
+    reads (level, seed, vocabulary size, length range) and shared across
+    scenarios.
     """
     rate_cache = {}
 
     def rate_for(spec, level):
-        key = (
-            level,
-            spec.seed,
-            spec.vocab_size,
-            spec.sequence_length_range,
-            spec.confusion_width,
-        )
+        key = (level, spec.seed, spec.vocab_size, spec.sequence_length_range)
         if key not in rate_cache:
             rate_cache[key] = calibrated_rate(spec, level)
         return rate_cache[key]

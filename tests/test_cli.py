@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,16 @@ class TestWilcoxonCommand:
         b.write_text("1\n2\n")
         assert run(["wilcoxon", "--a", str(a), "--b", str(b)]) == 2
 
+    def test_nan_value_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1\n2\nnan\n4\n")
+        b.write_text("2\n3\n4\n5\n")
+        assert run(["wilcoxon", "--a", str(a), "--b", str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"latfuse: {a}:3: bad number 'nan'\n"
+
 
 class TestSimulateCommand:
     def test_tiny_grid_writes_reports(self, tmp_path, capsys):
@@ -255,3 +268,47 @@ class TestSimulateCommand:
 
     def test_grid_flag_required(self):
         assert run(["simulate", "--trials", "1", "--seed", "5"]) == 1
+
+    def test_alpha_step_not_dividing_one(self, tmp_path, capsys):
+        out = tmp_path / "reports"
+        code = run(["simulate", "--grid", "--trials", "1", "--seed", "5",
+                    "--alpha-step", "0.7", "--out", str(out)])
+        assert code == 0
+        body = (out / "scenario_1.txt").read_text()
+        assert "METHOD mbr SCENARIO 1 ALPHA 0.7" in body
+        assert "BEST mbr SCENARIO 1 ALPHA 0.7 " in body
+
+    def test_unusable_out_dir_fails_before_the_grid(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import latfuse.cli as cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_scenario_grid", no_grid)
+        blocker = tmp_path / "somefile"
+        blocker.write_text("")
+        out = blocker / "x"
+        code = run(["simulate", "--grid", "--trials", "1", "--seed", "5",
+                    "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"latfuse: {out}:0: cannot write reports: Not a directory\n")
+
+    def test_failed_report_write_exit_2(self, tmp_path, capsys, monkeypatch):
+        import latfuse.cli as cli
+
+        def no_space(reports, out_dir):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "run_scenario_grid", lambda *a, **kw: [])
+        monkeypatch.setattr(cli, "write_grid_reports", no_space)
+        out = tmp_path / "reports"
+        code = run(["simulate", "--grid", "--trials", "1", "--seed", "5",
+                    "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"latfuse: {out}:0: cannot write reports: "
+            f"{os.strerror(errno.ENOSPC)}\n")

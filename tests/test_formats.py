@@ -277,6 +277,12 @@ class TestValues:
             read_values("1\n# c\nbanana\n", source="v.txt")
         assert str(err.value) == "v.txt:3: bad number 'banana'"
 
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number_names_line(self, tok):
+        with pytest.raises(FormatError) as err:
+            read_values(f"1\n# c\n{tok}\n", source="v.txt")
+        assert str(err.value) == f"v.txt:3: bad number {tok!r}"
+
 
 class TestTranscriptions:
     def test_roundtrip(self):

@@ -71,6 +71,15 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_rejected(self, bad, side):
+        a = [1.0, 2.0, 3.0, 4.0]
+        b = [2.0, 4.0, 6.0, 8.0]
+        (a if side == "a" else b)[2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            wilcoxon_signed_rank(a, b)
+
     def test_positive_shift_n9(self):
         b = [float(k) for k in range(1, 10)]
         a = [x + 2.0 for x in b]

@@ -57,8 +57,11 @@ class TestSpecValidation:
             ScenarioSpec("High", "Low", sequence_length_range=(5, 2))
 
     def test_vocab_vs_branching(self):
+        # the confusion neighborhood (width 2) needs 5 symbols, which also
+        # leaves more than the 3 alternatives a sausage position draws
         with pytest.raises(ValueError):
-            ScenarioSpec("High", "Low", vocab_size=3, branching=3)
+            ScenarioSpec("High", "Low", vocab_size=4)
+        assert ScenarioSpec("High", "Low", vocab_size=5).vocab_size == 5
 
     def test_level_targets(self):
         assert LEVEL_TARGET_SER == {"High": 27.0, "Medium": 17.0, "Low": 7.0}
@@ -127,7 +130,7 @@ class TestCalibration:
         rate = calibrate_noise(27.0, spec, fresh_rng(5))
         vocab = default_vocabulary(spec.vocab_size)
         corpus = _calibration_corpus(spec, fresh_rng(5))
-        measured = _corpus_spine_ser(corpus, rate, vocab, spec.confusion_width)
+        measured = _corpus_spine_ser(corpus, rate, vocab)
         assert abs(measured - 27.0) <= 0.5
 
     def test_monotone_rates(self):
@@ -153,6 +156,21 @@ class TestAlphaGrid:
         with pytest.raises(ValueError):
             alpha_grid_from_step(0.0)
 
+    @pytest.mark.parametrize("step, grid", [
+        (0.3, (0.3, 0.6, 0.9)),
+        (0.4, (0.4, 0.8)),
+        (0.7, (0.7,)),
+        (0.9, (0.9,)),
+        (0.45, (0.45, 0.9)),
+    ])
+    def test_step_not_dividing_one_keeps_every_interior_multiple(self, step,
+                                                                 grid):
+        assert alpha_grid_from_step(step) == grid
+
+    def test_step_rounding_to_one_leaves_no_grid(self):
+        with pytest.raises(ValueError, match="no interior grid points"):
+            alpha_grid_from_step(1.0 - 1e-12)
+
 
 class TestScenarioRun:
     def test_zero_noise_all_methods_zero_ser(self):
@@ -164,8 +182,8 @@ class TestScenarioRun:
 
     def test_grid_shape(self):
         alpha_grid = (0.25, 0.5, 0.75)
-        specs = grid_specs(trials=1, seed=42, vocab_size=30,
-                           sequence_length_range=(5, 8))
+        specs = [replace(spec, vocab_size=30, sequence_length_range=(5, 8))
+                 for spec in grid_specs(trials=1, seed=42)]
         reports = run_scenario_grid(specs, alpha_grid=alpha_grid)
         assert len(reports) == 9
         assert [r.scenario_id for r in reports] == list(range(1, 10))
@@ -217,8 +235,8 @@ class TestScenarioReportChecks:
 
     BUILD = (
         "from latfuse.simulate import ScenarioReport, grid_specs\n"
-        "ScenarioReport(0, grid_specs(1, 7)[0], 0.1, 0.1, (0.5,), {bad}, {{}},"
-        " {cells}, {{}}, {{}}, {{}})\n"
+        "ScenarioReport(0, grid_specs(1, 7)[0], 0.1, 0.1, (0.5,), {bad},"
+        " {cells}, {{}}, {{}})\n"
     )
 
     @pytest.mark.parametrize("baseline, cells", [
@@ -246,18 +264,17 @@ class TestCalibrationCache:
         calls = []
 
         def recorder(spec, level):
-            calls.append((spec.confusion_width, spec.branching, level))
+            calls.append((spec.vocab_size, spec.trials, level))
             return 0.1
 
         monkeypatch.setattr(simulate, "calibrated_rate", recorder)
         monkeypatch.setattr(simulate, "run_scenario",
                             lambda spec, sid, **kw: kw["noise_rates"])
         base = small_spec(image_level="Medium", audio_level="Medium")
-        specs = [base, replace(base, confusion_width=1),
-                 replace(base, branching=2)]
+        specs = [base, replace(base, vocab_size=30), replace(base, trials=7)]
         assert run_scenario_grid(specs) == [(0.1, 0.1)] * 3
-        # confusion_width is read by calibration, branching is not
-        assert calls == [(2, 3, "Medium"), (1, 3, "Medium")]
+        # vocab_size is read by calibration, trials is not
+        assert calls == [(40, 3, "Medium"), (30, 3, "Medium")]
 
 
 class TestDumpReplay:
