@@ -9,6 +9,7 @@ per-call scratch space.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ne
 
 import numpy as np
 
@@ -140,14 +141,49 @@ def edit_distance_matrix(cands, refs) -> np.ndarray:
 def _align_to_pivot(pivot: tuple, others: list) -> list[list[tuple]]:
     """Minimum-edit alignment of each label tuple in ``others`` to ``pivot``.
 
+    Per other, returns forward-ordered ops: ('m', i, j) for a
+    match/substitution, ('d', i) when pivot position i faces a gap,
+    ('i', g, j) when other[j] is inserted into pivot gap g (before pivot
+    position g).  Backtrace ties prefer match/substitution, then the pivot
+    gap, then insertion.
+
+    A certificate settles most rows without a DP.  Take an other of the
+    pivot's length at Hamming distance h from it, and suppose its edit
+    distance is h too.  The diagonal cell D[i][i] is at most the prefix
+    Hamming count H_i, and D[n][n] = h <= D[i][i] + (h - H_i), so
+    D[i][i] = H_i for every i.  Each diagonal step then reproduces its cell,
+    the backtrace takes it first, and the ops are ('m', i, i) for every i.
+    When h <= 2 the edit distance is h without computing it: an alignment
+    of two equal-length sequences that leaves the diagonal holds at least
+    one insertion and one gap, so it costs at least 2.  Otherwise one
+    ``edit_distance`` call decides.  The remaining rows go through
+    ``_row_dp_alignments`` and come back in input order.
+    """
+    diagonal = [("m", i, i) for i in range(len(pivot))]
+    all_ops, rest = [], []
+    for k, other in enumerate(others):
+        if len(other) == len(pivot):
+            h = sum(map(ne, pivot, other))
+            if h <= 2 or edit_distance(other, pivot) == h:
+                all_ops.append(diagonal.copy())
+                continue
+        all_ops.append(None)
+        rest.append(k)
+    if rest:
+        dp_ops = _row_dp_alignments(pivot, [others[k] for k in rest])
+        for k, ops in zip(rest, dp_ops):
+            all_ops[k] = ops
+    return all_ops
+
+
+def _row_dp_alignments(pivot: tuple, others: list) -> list[list[tuple]]:
+    """``_align_to_pivot``'s ops for each other, by full tables.
+
     One integer row DP fills every other's table at once: rows advance over
     pivot positions while the others and their positions stay vectorized,
     and the in-row dependency D[i][j] = min(V[j], D[i][j-1] + 1) closes with
-    a running minimum over V[j] - j.  Per other, returns forward-ordered
-    ops: ('m', i, j) for a match/substitution, ('d', i) when pivot position
-    i faces a gap, ('i', g, j) when other[j] is inserted into pivot gap g
-    (before pivot position g).  Backtrace ties prefer match/substitution,
-    then the pivot gap, then insertion.
+    a running minimum over V[j] - j.  Each table is then backtraced from its
+    last cell.
     """
     ids = {}
     omat = _encode(others, ids)
@@ -217,15 +253,16 @@ def align_seq_to_lattice(
     # state key: (cost, -logscore, vids, labels); payload adds edge scores
     start = (0, 0.0, (wg.initial,), (), ())
     states = {(wg.initial, 0): start}
+    get = states.get
 
     def relax(key, cand):
-        cur = states.get(key)
+        cur = get(key)
         if cur is None or cand[:4] < cur[:4]:
             states[key] = cand
 
     for v in order:
         for j in range(n + 1):
-            st = states.get((v, j))
+            st = get((v, j))
             if st is None:
                 continue
             cost, neglog, vids, labels, scores = st
@@ -233,12 +270,32 @@ def align_seq_to_lattice(
                 # consume one reference token against no edge
                 relax((v, j + 1), (cost + 1, neglog, vids, labels, scores))
             for e in adj[v]:
+                # The edge moves to (e.dst, j + 1), matching or substituting
+                # toks[j], and to (e.dst, j), inserting its label.  A move
+                # whose (cost, -logscore) exceeds the entry's there loses
+                # whatever its path, so the extended tuples are built only
+                # for a move that passes that test, and once per edge.
                 nl = neglog - math.log(e.score)
-                ext = (vids + (e.dst,), labels + (e.label,), scores + (e.score,))
+                ext = None
                 if j < n:
-                    step = 0 if e.label == toks[j] else 1
-                    relax((e.dst, j + 1), (cost + step, nl, *ext))
-                relax((e.dst, j), (cost + 1, nl, *ext))
+                    key = (e.dst, j + 1)
+                    c = cost + (0 if e.label == toks[j] else 1)
+                    cur = get(key)
+                    if cur is None or (c, nl) <= cur[:2]:
+                        ext = (vids + (e.dst,), labels + (e.label,),
+                               scores + (e.score,))
+                        cand = (c, nl, *ext)
+                        if cur is None or cand[:4] < cur[:4]:
+                            states[key] = cand
+                key = (e.dst, j)
+                cur = get(key)
+                if cur is None or (cost + 1, nl) <= cur[:2]:
+                    if ext is None:
+                        ext = (vids + (e.dst,), labels + (e.label,),
+                               scores + (e.score,))
+                    cand = (cost + 1, nl, *ext)
+                    if cur is None or cand[:4] < cur[:4]:
+                        states[key] = cand
 
     # a valid graph reaches a final, and every reached final consumes all of seq
     cost, _neglog, _vids, labels, scores = min(
@@ -318,13 +375,17 @@ def dtw_align(cn_a, cn_b):
 
 @dataclass(frozen=True)
 class SWParams:
-    """Smith-Waterman scoring: positive match, non-positive penalties."""
+    """Smith-Waterman scoring: positive match, non-positive penalties, all
+    finite."""
 
     match_score: float = 2.0
     mismatch_penalty: float = -1.0
     gap_penalty: float = -2.0
 
     def __post_init__(self):
+        for name in ("match_score", "mismatch_penalty", "gap_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.match_score <= 0:
             raise ValueError("match_score must be > 0")
         if self.mismatch_penalty > 0 or self.gap_penalty > 0:

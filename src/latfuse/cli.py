@@ -7,6 +7,7 @@ output directory, 3 domain error (e.g. files of unequal length).
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -56,6 +57,8 @@ def _positive(kind):
             x = kind(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad value {value!r}") from None
+        if isinstance(x, float) and not math.isfinite(x):
+            raise argparse.ArgumentTypeError("value must be finite")
         if x <= 0:
             raise argparse.ArgumentTypeError("value must be > 0")
         return x
@@ -68,6 +71,8 @@ def _non_positive_float(value):
         x = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value {value!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("penalty must be finite")
     if x > 0:
         raise argparse.ArgumentTypeError("penalty must be <= 0")
     return x

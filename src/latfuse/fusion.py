@@ -14,6 +14,7 @@ audio-side lattice; ``alpha`` weights the image side, ``1 - alpha`` the
 audio side.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +50,10 @@ _EPS_SUBNETWORK = {EPS: 1.0}
 class FusionConfig:
     """Knobs shared by the fusion strategies.
 
-    ``alpha`` must lie strictly inside (0, 1).  ``max_paths`` caps the number
-    of lattice paths considered; larger lattices are truncated to their
-    n-best with renormalized posteriors.
+    ``alpha`` must lie strictly inside (0, 1) and ``laplace_lambda`` must be
+    finite and > 0.  ``max_paths`` caps the number of lattice paths
+    considered; larger lattices are truncated to their n-best with
+    renormalized posteriors.
     """
 
     alpha: float = 0.5
@@ -65,6 +67,8 @@ class FusionConfig:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if self.method not in METHODS:
             raise ValueError(f"unknown fusion method {self.method!r}")
+        if not math.isfinite(self.laplace_lambda):
+            raise ValueError("laplace_lambda must be finite")
         if self.laplace_lambda <= 0:
             raise ValueError("laplace_lambda must be > 0")
         if self.max_paths < 1:

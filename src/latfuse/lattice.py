@@ -424,6 +424,14 @@ def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
     between pivot positions (shared, left-aligned, across paths).  Posteriors
     are renormalized over the retained path set, and every subnetwork is
     renormalized to sum to 1.
+
+    Most paths have the pivot's length and align to it by matches alone;
+    ``_align_to_pivot`` certifies those without a DP (its docstring says why
+    that is exact).  Such a row pours its labels into the pivot columns by
+    position and ``<eps>`` into every insertion column.  Paths are processed
+    in n-best order and each gives every column exactly one addition, so
+    each column sums the same floats in the same order, and each label
+    enters its column with the same path, whichever way a row is filled.
     """
     from .align import _align_to_pivot  # align imports this module
 
@@ -432,9 +440,14 @@ def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
     pivot = paths[0][0].labels
 
     all_ops = _align_to_pivot(pivot, [seq.labels for seq, _ in paths])
+    # one op per position of a row as long as the pivot: all matches
+    diagonal = [len(ops) == len(pivot) == len(seq)
+                for (seq, _), ops in zip(paths, all_ops)]
 
     max_ins = [0] * (len(pivot) + 1)
-    for ops in all_ops:
+    for ops, diag in zip(all_ops, diagonal):
+        if diag:
+            continue
         for g, cnt in Counter(op[1] for op in ops if op[0] == "i").items():
             max_ins[g] = max(max_ins[g], cnt)
 
@@ -449,17 +462,26 @@ def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
             col_index[("piv", g)] = ncols
             ncols += 1
 
+    piv_cols = [col_index[("piv", i)] for i in range(len(pivot))]
+    ins_cols = [c for key, c in col_index.items() if key[0] == "ins"]
     columns = [{} for _ in range(ncols)]
-    for (seq, _), post, ops in zip(paths, posts, all_ops):
+    for (seq, _), post, ops, diag in zip(paths, posts, all_ops, diagonal):
         labels = seq.labels
+        if diag:  # by position, without the ops
+            for c, lab in zip(piv_cols, labels):
+                col = columns[c]
+                col[lab] = col.get(lab, 0.0) + post
+            for c in ins_cols:
+                columns[c][EPS] = columns[c].get(EPS, 0.0) + post
+            continue
         touched = set()
         slot_at = {}
         for op in ops:
             if op[0] == "m":
-                c = col_index[("piv", op[1])]
+                c = piv_cols[op[1]]
                 lab = labels[op[2]]
             elif op[0] == "d":
-                c = col_index[("piv", op[1])]
+                c = piv_cols[op[1]]
                 lab = EPS
             else:
                 g = op[1]

@@ -14,6 +14,7 @@ Per-trial RNG streams are derived by counter from the master seed, so runs
 are bit-reproducible regardless of how trials would be scheduled.
 """
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -62,7 +63,11 @@ _TRIAL_STREAM = 0x7121A1
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One cell of the difficulty grid plus the corpus it is run on."""
+    """One cell of the difficulty grid plus the corpus it is run on.
+
+    The counts (``trials``, ``vocab_size``, ``seed`` and both length bounds)
+    are integers; a bool is not one.
+    """
 
     image_level: str
     audio_level: str
@@ -74,9 +79,18 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.image_level not in LEVELS or self.audio_level not in LEVELS:
             raise ValueError(f"levels must be one of {LEVELS}")
+        lo, hi = self.sequence_length_range
+        for name, value in (
+            ("trials", self.trials),
+            ("vocab_size", self.vocab_size),
+            ("seed", self.seed),
+            ("sequence_length_range bound", lo),
+            ("sequence_length_range bound", hi),
+        ):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        lo, hi = self.sequence_length_range
         if not 1 <= lo <= hi:
             raise ValueError("bad sequence_length_range")
         if self.vocab_size <= 2 * _CONFUSION_WIDTH:

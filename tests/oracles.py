@@ -2,11 +2,16 @@
 
 Everything here is deliberately written the dumb way (plain recursion, full
 DP matrices, literal enumeration) and shares no code with the package
-internals beyond the public data types.
+internals beyond the public data types.  The one exception is
+``cn_by_pivot_alignment``, which takes its path list from the public
+``n_best_paths`` (checked against ``n_best_by_enumeration`` on its own), so
+that it also covers lattices too large to enumerate.
 """
 
 import itertools
 import math
+
+from latfuse import EPS, n_best_paths
 
 
 def dfs_paths(wg, log=False):
@@ -80,6 +85,55 @@ def pivot_alignment(pivot, other):
         _, op, i, j = next(m for m in moves if m[0] == d[i][j])
         ops.insert(0, op)
     return ops
+
+
+def cn_by_pivot_alignment(wg, max_paths):
+    """The confusion network of the ``max_paths``-best paths, column by column.
+
+    The best path is the pivot, and each path's posterior is its softmax
+    weight, the log scores shifted by their maximum.  Each path is aligned
+    to the pivot with ``pivot_alignment``.  Pivot gap g gets as many
+    insertion columns as the most insertions one path puts there, and the
+    columns run: gap 0's insertion columns, pivot position 0, gap 1's, pivot
+    position 1, ...  Path by path, in n-best order, every column receives
+    the path's posterior under the label the path puts there: the matched
+    symbol at a pivot position, its k-th inserted symbol in a gap's k-th
+    insertion column, and ``<eps>`` where it has a gap or nothing.  Each
+    column is then divided by its total.  Returns the columns as lists of
+    (label, score) pairs in the order the labels first arrived.
+    """
+    paths = n_best_paths(wg, max_paths)
+    logs = [ls for _, ls in paths]
+    weights = [math.exp(x - max(logs)) for x in logs]
+    posts = [w / sum(weights) for w in weights]
+    pivot = paths[0][0].labels
+    alignments = [pivot_alignment(pivot, seq.labels) for seq, _ in paths]
+    slots = [
+        max(sum(op[0] == "i" and op[1] == g for op in ops) for ops in alignments)
+        for g in range(len(pivot) + 1)
+    ]
+    keys = []
+    for g in range(len(pivot) + 1):
+        keys += [("ins", g, k) for k in range(slots[g])]
+        if g < len(pivot):
+            keys.append(("piv", g))
+    columns = {key: {} for key in keys}
+    for (seq, _), post, ops in zip(paths, posts, alignments):
+        placed = {}
+        for op in ops:
+            if op[0] == "i":
+                k = sum(key[:2] == ("ins", op[1]) for key in placed)
+                placed[("ins", op[1], k)] = seq.labels[op[2]]
+            else:
+                placed[("piv", op[1])] = seq.labels[op[2]] if op[0] == "m" else EPS
+        for key in keys:
+            lab = placed.get(key, EPS)
+            columns[key][lab] = columns[key].get(lab, 0.0) + post
+    out = []
+    for key in keys:
+        total = sum(columns[key].values())
+        out.append([(lab, score / total) for lab, score in columns[key].items()])
+    return out
 
 
 def best_path_by_enumeration(wg):

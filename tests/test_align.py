@@ -15,6 +15,7 @@ from latfuse import (
     smith_waterman,
     subnetwork_distance,
 )
+from latfuse import align as align_module
 from latfuse.align import _align_to_pivot, edit_distance_matrix
 from latgen import random_cn, random_wg
 from oracles import (
@@ -228,6 +229,42 @@ class TestPivotAlignment:
                 assert tuple(rebuilt) == other
                 assert cost == simple_ed(pivot, other)
 
+    @pytest.mark.parametrize("other, ops", [
+        # edit distance 2, Hamming 4: the row DP
+        ("baba", [("i", 0, 0), ("m", 0, 1), ("m", 1, 2), ("m", 2, 3),
+                  ("d", 3)]),
+        # Hamming 3, edit distance 2: the row DP
+        ("aaba", [("i", 0, 0), ("m", 0, 1), ("m", 1, 2), ("m", 2, 3),
+                  ("d", 3)]),
+        # Hamming 2 with an equal-cost alignment off the diagonal (drop the
+        # second "a", append one): the backtrace still keeps the diagonal
+        ("abba", [("m", 0, 0), ("m", 1, 1), ("m", 2, 2), ("m", 3, 3)]),
+        # Hamming 3 = edit distance: certified by edit_distance
+        ("bbba", [("m", 0, 0), ("m", 1, 1), ("m", 2, 2), ("m", 3, 3)]),
+    ])
+    def test_hand_cases(self, other, ops):
+        assert _align_to_pivot(tuple("abab"), [tuple(other)]) == [ops]
+        assert pivot_alignment(tuple("abab"), tuple(other)) == ops
+
+    def test_only_uncertified_rows_reach_the_row_dp(self, monkeypatch):
+        seen = []
+        row_dp = align_module._row_dp_alignments
+
+        def spy(pivot, others):
+            seen.append(list(others))
+            return row_dp(pivot, others)
+
+        monkeypatch.setattr(align_module, "_row_dp_alignments", spy)
+        others = [tuple(w) for w in ("abab", "baba", "abba", "bbba", "aaba",
+                                     "aba")]
+        got = _align_to_pivot(tuple("abab"), others)
+        assert seen == [[tuple("baba"), tuple("aaba"), tuple("aba")]]
+        assert got == [pivot_alignment(tuple("abab"), o) for o in others]
+        # no DP at all when every row is certified
+        seen.clear()
+        _align_to_pivot(tuple("abab"), others[:1] + others[2:4])
+        assert seen == []
+
     def test_pivot_against_itself_is_all_matches(self):
         # cn_from_wg aligns the pivot path along with the others
         pivot = ("a", "b", "a")
@@ -293,6 +330,22 @@ class TestSeqToLattice:
         rng = np.random.default_rng(36)
         for _ in range(50):
             wg = random_wg(rng)
+            seq = rand_seq(rng, max_len=6)
+            path, cost = align_seq_to_lattice(SymbolSequence(seq), wg)
+            _, labels, _ = nearest_path_by_enumeration(wg, seq)
+            assert path.labels == labels
+            assert cost == simple_ed(labels, seq)
+
+    def test_ties_match_exhaustive_oracle(self):
+        # every score 0.5: paths of one length tie exactly on (cost, score),
+        # so the vertex-id and label order decides
+        from oracles import nearest_path_by_enumeration
+
+        rng = np.random.default_rng(39)
+        for _ in range(100):
+            wg = random_wg(rng, vocab=RNG_TOKENS[:2])
+            wg = WordGraph(wg.num_vertices, wg.initial, wg.finals,
+                           [e._replace(score=0.5) for e in wg.edges])
             seq = rand_seq(rng, max_len=6)
             path, cost = align_seq_to_lattice(SymbolSequence(seq), wg)
             _, labels, _ = nearest_path_by_enumeration(wg, seq)
@@ -434,6 +487,14 @@ class TestSmithWaterman:
         res = smith_waterman(("a", "b", "d"), ("a", "b", "c", "d"))
         assert res.aligned_a == ("a", "b", None, "d")
         assert res.aligned_b == ("a", "b", "c", "d")
+
+    @pytest.mark.parametrize("field", ["match_score", "mismatch_penalty",
+                                       "gap_penalty"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_params_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            SWParams(**{field: value})
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

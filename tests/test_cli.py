@@ -65,6 +65,35 @@ class TestFuseCommand:
         assert capsys.readouterr().out.strip() == "a b c d"
 
 
+    def test_nan_sw_params_exit_1(self, single_path_file, capsys):
+        img = single_path_file(("a", "b"), fname="ni.wg")
+        aud = single_path_file(("a", "c"), fname="na.wg")
+        code = run(["fuse", "--method", "local", "--sw-match", "nan",
+                    "--sw-gap", "nan", "--image", str(img), "--audio", str(aud)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "latfuse fuse: error: argument --sw-match: value must be finite\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "nan", "value must be finite"),
+        ("--lambda", "inf", "value must be finite"),
+        ("--sw-match", "inf", "value must be finite"),
+        ("--sw-match", "-inf", "value must be finite"),
+        ("--sw-mismatch", "nan", "penalty must be finite"),
+        ("--sw-gap", "-inf", "penalty must be finite"),
+    ])
+    def test_non_finite_value_exit_1(self, single_path_file, capsys, flag,
+                                     value, message):
+        img = single_path_file(("a",), fname="f.wg")
+        code = run(["fuse", "--method", "local", f"{flag}={value}",
+                    "--image", str(img), "--audio", str(img)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"latfuse fuse: error: argument {flag}: {message}\n")
+
+
 class TestDecodeCommands:
     def test_decode_greedy(self, tmp_path, capsys):
         rng = np.random.default_rng(81)

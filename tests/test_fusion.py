@@ -61,6 +61,9 @@ class TestFusionConfig:
             FusionConfig(method="vote")
         with pytest.raises(ValueError):
             FusionConfig(laplace_lambda=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^laplace_lambda must be finite$"):
+                FusionConfig(laplace_lambda=bad)
         with pytest.raises(ValueError):
             FusionConfig(max_paths=0)
 

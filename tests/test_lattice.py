@@ -25,9 +25,12 @@ from latfuse import (
     validate_cn,
     validate_wg,
 )
-from latfuse import lattice
+from latfuse import lattice, simulate
 from latgen import LETTERS, random_wg
-from oracles import best_path_by_enumeration, dfs_paths, n_best_by_enumeration
+from oracles import (
+    best_path_by_enumeration, cn_by_pivot_alignment, dfs_paths,
+    n_best_by_enumeration,
+)
 
 
 def invalid(message):
@@ -559,6 +562,48 @@ class TestCnFromWg:
             wg = random_wg(rng, max_paths=1)
             assert count_paths(wg) == 1
             assert cn_best_path(cn_from_wg(wg)).labels == best_path(wg)[0].labels
+
+
+class TestCnFromWgExact:
+    """``cn_from_wg`` against the literal construction, to the last bit.
+
+    Report digests pin SERs and ``write_cn`` rounds scores to 12 digits, so
+    neither would notice a change in the order a column sums its posteriors
+    or a label first enters a column.
+    """
+
+    @staticmethod
+    def items(cn):
+        return [list(sub.items()) for sub in cn.subnetworks]
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(23)
+        mixed = widened = 0
+        for _ in range(500):
+            # two or three letters, so equal-cost alignments are common
+            letters = LETTERS[: int(rng.integers(2, 4))]
+            wg = random_wg(rng, vocab=letters, max_vertices=10)
+            m = int(rng.integers(1, 40))
+            got = self.items(cn_from_wg(wg, m))
+            assert got == cn_by_pivot_alignment(wg, m)
+            lengths = {len(seq) for seq, _ in n_best_paths(wg, m)}
+            mixed += len(lengths) > 1
+            widened += len(got) > len(best_path(wg)[0])
+        # rows of other lengths take the row DP, and open insertion columns
+        assert mixed > 100 and widened > 100
+
+    def test_grid_sausages(self):
+        spec = simulate.grid_specs(trials=1, seed=7)[0]
+        tokens = simulate.default_vocabulary(spec.vocab_size).tokens
+        rng = np.random.default_rng(29)
+        # about the calibrated Low, Medium and High rates at seed 7
+        for rate in (0.074, 0.178, 0.282):
+            for n in (12, 20, 28):
+                truth = SymbolSequence(
+                    tuple(tokens[j] for j in rng.integers(0, len(tokens), n)))
+                for wg in simulate.generate_wg_pair(truth, rate, rate, spec, rng):
+                    got = self.items(cn_from_wg(wg))
+                    assert got == cn_by_pivot_alignment(wg, lattice.MAX_PATHS)
 
 
 class TestCnBestPath:

@@ -56,6 +56,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ScenarioSpec("High", "Low", sequence_length_range=(5, 2))
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("trials", 2.5, "trials"),
+        ("trials", 3.0, "trials"),
+        ("trials", True, "trials"),
+        ("vocab_size", 40.0, "vocab_size"),
+        ("seed", 1.5, "seed"),
+        ("seed", "7", "seed"),
+        ("sequence_length_range", (6.0, 12), "sequence_length_range bound"),
+        ("sequence_length_range", (6, 12.5), "sequence_length_range bound"),
+    ])
+    def test_counts_must_be_integers(self, field, value, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, "):
+            small_spec(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = small_spec(trials=np.int64(2), seed=np.int32(3))
+        assert (spec.trials, spec.seed) == (2, 3)
+
     def test_vocab_vs_branching(self):
         # the confusion neighborhood (width 2) needs 5 symbols, which also
         # leaves more than the 3 alternatives a sausage position draws
