@@ -138,52 +138,58 @@ def edit_distance_matrix(cands, refs) -> np.ndarray:
     return out
 
 
-def _align_to_pivot(pivot: tuple, others: list) -> list[list[tuple]]:
+def _align_to_pivot(pivot: tuple, others: list) -> list[tuple]:
     """Minimum-edit alignment of each label tuple in ``others`` to ``pivot``.
 
-    Per other, returns forward-ordered ops: ('m', i, j) for a
-    match/substitution, ('d', i) when pivot position i faces a gap,
-    ('i', g, j) when other[j] is inserted into pivot gap g (before pivot
-    position g).  Backtrace ties prefer match/substitution, then the pivot
-    gap, then insertion.
+    Per other, returns ``(at_pivot, inserted)``: ``at_pivot`` holds
+    ``len(pivot)`` labels, the other's label matched or substituted at each
+    pivot position, or ``<eps>`` where that position faces a gap;
+    ``inserted`` holds ``len(pivot) + 1`` tuples, ``inserted[g]`` the labels
+    inserted before pivot position g, in path order.  Interleaving
+    ``inserted[0]``, ``at_pivot[0]``, ``inserted[1]``, ... and dropping the
+    gaps gives the other back.  Backtrace ties prefer match/substitution,
+    then the pivot gap, then insertion.
 
     A certificate settles most rows without a DP.  Take an other of the
     pivot's length at Hamming distance h from it, and suppose its edit
     distance is h too.  The diagonal cell D[i][i] is at most the prefix
     Hamming count H_i, and D[n][n] = h <= D[i][i] + (h - H_i), so
     D[i][i] = H_i for every i.  Each diagonal step then reproduces its cell,
-    the backtrace takes it first, and the ops are ('m', i, i) for every i.
+    the backtrace takes it first, and the other matches the pivot position
+    by position with nothing inserted.
     When h <= 2 the edit distance is h without computing it: an alignment
     of two equal-length sequences that leaves the diagonal holds at least
     one insertion and one gap, so it costs at least 2.  Otherwise one
-    ``edit_distance`` call decides.  The remaining rows go through
-    ``_row_dp_alignments`` and come back in input order.
+    ``edit_distance`` call decides.  A certified row is ``(other,
+    no_insertions)``, one tuple of empty tuples shared by every such row.
+    The remaining rows go through ``_row_dp_alignments`` and come back in
+    input order.
     """
-    diagonal = [("m", i, i) for i in range(len(pivot))]
-    all_ops, rest = [], []
+    no_insertions = ((),) * (len(pivot) + 1)
+    rows, rest = [], []
     for k, other in enumerate(others):
         if len(other) == len(pivot):
             h = sum(map(ne, pivot, other))
             if h <= 2 or edit_distance(other, pivot) == h:
-                all_ops.append(diagonal.copy())
+                rows.append((other, no_insertions))
                 continue
-        all_ops.append(None)
+        rows.append(None)
         rest.append(k)
     if rest:
-        dp_ops = _row_dp_alignments(pivot, [others[k] for k in rest])
-        for k, ops in zip(rest, dp_ops):
-            all_ops[k] = ops
-    return all_ops
+        dp_rows = _row_dp_alignments(pivot, [others[k] for k in rest])
+        for k, row in zip(rest, dp_rows):
+            rows[k] = row
+    return rows
 
 
-def _row_dp_alignments(pivot: tuple, others: list) -> list[list[tuple]]:
-    """``_align_to_pivot``'s ops for each other, by full tables.
+def _row_dp_alignments(pivot: tuple, others: list) -> list[tuple]:
+    """``_align_to_pivot``'s ``(at_pivot, inserted)`` pairs, by full tables.
 
     One integer row DP fills every other's table at once: rows advance over
     pivot positions while the others and their positions stay vectorized,
     and the in-row dependency D[i][j] = min(V[j], D[i][j-1] + 1) closes with
     a running minimum over V[j] - j.  Each table is then backtraced from its
-    last cell.
+    last cell, so a gap's insertions arrive last first.
     """
     ids = {}
     omat = _encode(others, ids)
@@ -196,26 +202,25 @@ def _row_dp_alignments(pivot: tuple, others: list) -> list[list[tuple]]:
         work[:, 1:] = np.minimum(dist[:, 1:] + 1, dist[:, :-1] + (omat != tok))
         dist = np.minimum.accumulate(work - j_range, axis=1) + j_range
         tables.append(dist)
-    all_ops = []
+    rows = []
     for other, dist in zip(others, np.stack(tables, axis=1).tolist()):
-        ops = []
+        at_pivot = [EPS] * len(pivot)
+        inserted = [[] for _ in range(len(pivot) + 1)]
         i, j = len(pivot), len(other)
         while i > 0 or j > 0:
             cur = dist[i][j]
             if i > 0 and j > 0 and cur == dist[i - 1][j - 1] + (
                 pivot[i - 1] != other[j - 1]
             ):
-                ops.append(("m", i - 1, j - 1))
+                at_pivot[i - 1] = other[j - 1]
                 i, j = i - 1, j - 1
             elif i > 0 and cur == dist[i - 1][j] + 1:
-                ops.append(("d", i - 1))
                 i -= 1
             else:
-                ops.append(("i", i, j - 1))
+                inserted[i].append(other[j - 1])
                 j -= 1
-        ops.reverse()
-        all_ops.append(ops)
-    return all_ops
+        rows.append((tuple(at_pivot), tuple(tuple(reversed(g)) for g in inserted)))
+    return rows
 
 
 _char_ed = lru_cache(maxsize=65536)(edit_distance)

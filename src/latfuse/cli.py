@@ -7,6 +7,7 @@ output directory, 3 domain error (e.g. files of unequal length).
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -231,11 +232,15 @@ _COMMANDS = {
 }
 
 
+# argparse looks up sys.stdout and sys.stderr when it prints, so one parser
+# serves every call
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -159,7 +159,12 @@ def merge_subnetworks(sub_i: dict, sub_a: dict, alpha: float, lam: float) -> dic
 
     Scores are smoothed over the union label set L as (s + lam)/(1 + lam|L|),
     combined as image^alpha * audio^(1-alpha), and renormalized to sum to 1.
+    ``lam`` must be finite and > 0.
     """
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
+    if lam <= 0:
+        raise ValueError("lam must be > 0")
     union = sorted(set(sub_i) | set(sub_a))
     denom = 1.0 + lam * len(union)
     col = {}

@@ -23,7 +23,6 @@ without a complete path.
 import heapq
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -60,15 +59,17 @@ class Vocabulary:
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        seen = set()
+        index = {}
         for tok in self.tokens:
             if not tok or any(ch.isspace() for ch in tok):
                 raise ValueError(f"bad vocabulary token {tok!r}")
             if tok in (EPS, BLANK):
                 raise ValueError(f"reserved token {tok!r} cannot be a vocabulary symbol")
-            if tok in seen:
+            if tok in index:
                 raise ValueError(f"duplicate vocabulary token {tok!r}")
-            seen.add(tok)
+            index[tok] = len(index)
+        # token -> position, outside the fields like the WordGraph memo
+        object.__setattr__(self, "_index", index)
 
     def __contains__(self, tok):
         return tok in self.tokens
@@ -425,75 +426,34 @@ def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
     are renormalized over the retained path set, and every subnetwork is
     renormalized to sum to 1.
 
-    Most paths have the pivot's length and align to it by matches alone;
-    ``_align_to_pivot`` certifies those without a DP (its docstring says why
-    that is exact).  Such a row pours its labels into the pivot columns by
-    position and ``<eps>`` into every insertion column.  Paths are processed
-    in n-best order and each gives every column exactly one addition, so
-    each column sums the same floats in the same order, and each label
-    enters its column with the same path, whichever way a row is filled.
+    ``_align_to_pivot`` gives each path its ``(at_pivot, inserted)`` pair.
+    Pivot gap g opens as many insertion columns as the most labels one path
+    inserts there, and the columns run: gap 0's, pivot position 0, gap 1's,
+    pivot position 1, ...  Each path becomes one row of labels across all
+    columns, its insertions in each gap, padded with ``<eps>`` to the gap's
+    width, spliced into its ``at_pivot``.  Rows are added in n-best order and
+    each gives every column exactly one addition, so each column sums the
+    same floats in the same order as a column-by-column construction, and
+    each label enters its column with the first path that puts it there.  A
+    gap and a matched ``<eps>`` label add to the same ``<eps>`` key.
     """
     from .align import _align_to_pivot  # align imports this module
 
     paths = n_best_paths(wg, max_paths)
     posts = _posteriors_from_log([ls for _, ls in paths])
     pivot = paths[0][0].labels
-
-    all_ops = _align_to_pivot(pivot, [seq.labels for seq, _ in paths])
-    # one op per position of a row as long as the pivot: all matches
-    diagonal = [len(ops) == len(pivot) == len(seq)
-                for (seq, _), ops in zip(paths, all_ops)]
-
-    max_ins = [0] * (len(pivot) + 1)
-    for ops, diag in zip(all_ops, diagonal):
-        if diag:
-            continue
-        for g, cnt in Counter(op[1] for op in ops if op[0] == "i").items():
-            max_ins[g] = max(max_ins[g], cnt)
-
-    # Global column order: gap-0 slots, pivot 0, gap-1 slots, pivot 1, ...
-    col_index = {}
-    ncols = 0
-    for g in range(len(pivot) + 1):
-        for s in range(max_ins[g]):
-            col_index[("ins", g, s)] = ncols
-            ncols += 1
-        if g < len(pivot):
-            col_index[("piv", g)] = ncols
-            ncols += 1
-
-    piv_cols = [col_index[("piv", i)] for i in range(len(pivot))]
-    ins_cols = [c for key, c in col_index.items() if key[0] == "ins"]
-    columns = [{} for _ in range(ncols)]
-    for (seq, _), post, ops, diag in zip(paths, posts, all_ops, diagonal):
-        labels = seq.labels
-        if diag:  # by position, without the ops
-            for c, lab in zip(piv_cols, labels):
-                col = columns[c]
-                col[lab] = col.get(lab, 0.0) + post
-            for c in ins_cols:
-                columns[c][EPS] = columns[c].get(EPS, 0.0) + post
-            continue
-        touched = set()
-        slot_at = {}
-        for op in ops:
-            if op[0] == "m":
-                c = piv_cols[op[1]]
-                lab = labels[op[2]]
-            elif op[0] == "d":
-                c = piv_cols[op[1]]
-                lab = EPS
-            else:
-                g = op[1]
-                s = slot_at.get(g, 0)
-                slot_at[g] = s + 1
-                c = col_index[("ins", g, s)]
-                lab = labels[op[2]]
-            columns[c][lab] = columns[c].get(lab, 0.0) + post
-            touched.add(c)
-        for c in range(ncols):
-            if c not in touched:
-                columns[c][EPS] = columns[c].get(EPS, 0.0) + post
+    rows = _align_to_pivot(pivot, [seq.labels for seq, _ in paths])
+    # over distinct insertion tuples: the certified rows share one
+    widths = [max(map(len, gap)) for gap in zip(*{ins for _, ins in rows})]
+    columns = [{} for _ in range(len(pivot) + sum(widths))]
+    # spliced right to left, so gap g still sits before at_pivot[g]
+    open_gaps = [g for g in reversed(range(len(widths))) if widths[g]]
+    for post, (at_pivot, inserted) in zip(posts, rows):
+        row = list(at_pivot)
+        for g in open_gaps:
+            row[g:g] = inserted[g] + (EPS,) * (widths[g] - len(inserted[g]))
+        for col, lab in zip(columns, row):
+            col[lab] = col.get(lab, 0.0) + post
 
     for col in columns:
         total = sum(col.values())

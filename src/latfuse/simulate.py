@@ -14,6 +14,7 @@ Per-trial RNG streams are derived by counter from the master seed, so runs
 are bit-reproducible regardless of how trials would be scheduled.
 """
 
+import functools
 import numbers
 import os
 from dataclasses import dataclass
@@ -97,7 +98,9 @@ class ScenarioSpec:
             raise ValueError("vocab_size too small for the confusion neighborhood")
 
 
+@functools.cache
 def default_vocabulary(size: int) -> Vocabulary:
+    """``sym000``, ``sym001``, ...: one shared instance per ``size``."""
     width = max(3, len(str(size - 1)))
     return Vocabulary(tuple(f"sym{i:0{width}d}" for i in range(size)))
 
@@ -135,8 +138,7 @@ def _corrupt(truth: tuple, rate: float, draws: dict, vocab: Vocabulary) -> list:
     pick a confusable neighbor of the true token.  The spine is never left
     empty: a deletion that would empty it is skipped.
     """
-    tokens = vocab.tokens
-    index = {t: i for i, t in enumerate(tokens)}
+    tokens, index = vocab.tokens, vocab._index
     spine = []
     for i, lab in enumerate(truth):
         if draws["u_err"][i] < rate:
@@ -164,8 +166,7 @@ def _wrap_sausage(spine: list, rng, vocab: Vocabulary) -> WordGraph:
     Alternatives beyond the spine label (and the optionally injected true
     label) come from the spine label's confusion neighborhood.
     """
-    tokens = vocab.tokens
-    index = {t: i for i, t in enumerate(tokens)}
+    tokens, index = vocab.tokens, vocab._index
     edges = []
     for t, (lab, hint, is_err) in enumerate(spine):
         alts = [lab]

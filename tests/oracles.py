@@ -87,6 +87,23 @@ def pivot_alignment(pivot, other):
     return ops
 
 
+def pivot_rows(pivot, other):
+    """``pivot_alignment`` as an (at_pivot, inserted) pair.
+
+    ``at_pivot[i]`` is the other's label matched or substituted at pivot
+    position i, or ``<eps>`` where i faces a gap; ``inserted[g]`` is the
+    tuple of labels inserted before pivot position g, in path order.
+    """
+    at_pivot = [EPS] * len(pivot)
+    inserted = [[] for _ in range(len(pivot) + 1)]
+    for op in pivot_alignment(pivot, other):
+        if op[0] == "m":
+            at_pivot[op[1]] = other[op[2]]
+        elif op[0] == "i":
+            inserted[op[1]].append(other[op[2]])
+    return tuple(at_pivot), tuple(tuple(ins) for ins in inserted)
+
+
 def cn_by_pivot_alignment(wg, max_paths):
     """The confusion network of the ``max_paths``-best paths, column by column.
 

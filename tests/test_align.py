@@ -19,7 +19,7 @@ from latfuse import align as align_module
 from latfuse.align import _align_to_pivot, edit_distance_matrix
 from latgen import random_cn, random_wg
 from oracles import (
-    dfs_paths, dtw_min_cost, pivot_alignment, simple_ed, sw_best_score,
+    dfs_paths, dtw_min_cost, pivot_rows, simple_ed, sw_best_score,
 )
 
 RNG_TOKENS = ("a", "b", "c", "d")
@@ -204,47 +204,44 @@ class TestPivotAlignment:
             pivot = seq()
             others = [seq() for _ in range(int(rng.integers(0, 6)))]
             got = _align_to_pivot(pivot, others)
-            assert got == [pivot_alignment(pivot, o) for o in others]
+            assert got == [pivot_rows(pivot, o) for o in others]
 
     def test_ops_rebuild_other_at_edit_cost(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
             seq = lambda: tuple(rng.choice(("a", "b"), size=rng.integers(0, 9)))
             pivot, others = seq(), [seq() for _ in range(4)]
-            for other, ops in zip(others, _align_to_pivot(pivot, others)):
-                consumed, rebuilt, cost = 0, [], 0
-                for op in ops:
-                    # ops walk the pivot left to right; a gap g sits
-                    # after the g pivot positions already consumed
-                    assert op[1] == consumed
-                    consumed += op[0] != "i"
-                    if op[0] == "m":
-                        cost += pivot[op[1]] != other[op[2]]
-                    else:
-                        cost += 1
-                    if op[0] != "d":
-                        assert op[-1] == len(rebuilt)
-                        rebuilt.append(other[op[-1]])
-                assert consumed == len(pivot)
+            for other, (at_pivot, inserted) in zip(
+                others, _align_to_pivot(pivot, others)
+            ):
+                assert len(at_pivot) == len(pivot)
+                assert len(inserted) == len(pivot) + 1
+                # gap g's insertions come before pivot position g
+                rebuilt = list(inserted[0])
+                for lab, ins in zip(at_pivot, inserted[1:]):
+                    rebuilt += [lab] if lab != EPS else []
+                    rebuilt += ins
                 assert tuple(rebuilt) == other
+                gaps = at_pivot.count(EPS)
+                subs = sum(lab not in (EPS, p) for lab, p in zip(at_pivot, pivot))
+                cost = gaps + sum(map(len, inserted)) + subs
                 assert cost == simple_ed(pivot, other)
 
+    # ops: the (at_pivot, inserted) row of other against "abab"
     @pytest.mark.parametrize("other, ops", [
         # edit distance 2, Hamming 4: the row DP
-        ("baba", [("i", 0, 0), ("m", 0, 1), ("m", 1, 2), ("m", 2, 3),
-                  ("d", 3)]),
+        ("baba", (("a", "b", "a", EPS), (("b",), (), (), (), ()))),
         # Hamming 3, edit distance 2: the row DP
-        ("aaba", [("i", 0, 0), ("m", 0, 1), ("m", 1, 2), ("m", 2, 3),
-                  ("d", 3)]),
+        ("aaba", (("a", "b", "a", EPS), (("a",), (), (), (), ()))),
         # Hamming 2 with an equal-cost alignment off the diagonal (drop the
         # second "a", append one): the backtrace still keeps the diagonal
-        ("abba", [("m", 0, 0), ("m", 1, 1), ("m", 2, 2), ("m", 3, 3)]),
+        ("abba", (("a", "b", "b", "a"), ((),) * 5)),
         # Hamming 3 = edit distance: certified by edit_distance
-        ("bbba", [("m", 0, 0), ("m", 1, 1), ("m", 2, 2), ("m", 3, 3)]),
+        ("bbba", (("b", "b", "b", "a"), ((),) * 5)),
     ])
     def test_hand_cases(self, other, ops):
         assert _align_to_pivot(tuple("abab"), [tuple(other)]) == [ops]
-        assert pivot_alignment(tuple("abab"), tuple(other)) == ops
+        assert pivot_rows(tuple("abab"), tuple(other)) == ops
 
     def test_only_uncertified_rows_reach_the_row_dp(self, monkeypatch):
         seen = []
@@ -259,7 +256,10 @@ class TestPivotAlignment:
                                      "aba")]
         got = _align_to_pivot(tuple("abab"), others)
         assert seen == [[tuple("baba"), tuple("aaba"), tuple("aba")]]
-        assert got == [pivot_alignment(tuple("abab"), o) for o in others]
+        assert got == [pivot_rows(tuple("abab"), o) for o in others]
+        # certified rows are the other itself and one shared empty insertions
+        assert got[0][0] is others[0]
+        assert got[0][1] is got[2][1] is got[3][1]
         # no DP at all when every row is certified
         seen.clear()
         _align_to_pivot(tuple("abab"), others[:1] + others[2:4])
@@ -268,9 +268,7 @@ class TestPivotAlignment:
     def test_pivot_against_itself_is_all_matches(self):
         # cn_from_wg aligns the pivot path along with the others
         pivot = ("a", "b", "a")
-        assert _align_to_pivot(pivot, [pivot]) == [
-            [("m", 0, 0), ("m", 1, 1), ("m", 2, 2)]
-        ]
+        assert _align_to_pivot(pivot, [pivot]) == [(pivot, ((),) * 4)]
 
 
 class TestNormalizedCharEd:

@@ -1,10 +1,15 @@
+import contextlib
 import errno
+import gc
+import io
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latfuse.cli import run
+from latfuse.cli import build_parser, run
 from latfuse.formats import write_pg, write_wg
 from latfuse.lattice import WordGraph
 from latgen import mutate_text, random_pg, random_wg
@@ -341,3 +346,69 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             f"latfuse: {out}:0: cannot write reports: "
             f"{os.strerror(errno.ENOSPC)}\n")
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def ser_files(self, tmp_path):
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_text("a x c d e\n")
+        ref.write_text("a b c d e\n")
+        return ["eval-ser", "--hyp", str(hyp), "--ref", str(ref)]
+
+    def test_a_call_leaves_no_cyclic_garbage(self, ser_files, capsys):
+        assert run(ser_files) == 0  # warm-up
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(ser_files) == 0
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert capsys.readouterr().out == "SER 20.00\nSER 20.00\n"
+
+    def test_usage_error_then_valid_call(self, ser_files, capsys):
+        assert run(ser_files + ["--frobnicate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "latfuse: error: unrecognized arguments: --frobnicate\n")
+        assert run(ser_files) == 0
+        assert capsys.readouterr() == ("SER 20.00\n", "")
+
+    def test_output_goes_to_the_current_streams(self):
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                assert run(["--help"]) == 0
+                assert run(["fuse"]) == 1
+            assert out.getvalue().startswith("usage: latfuse ")
+            assert "the following arguments are required" in err.getvalue()
+
+
+def _readme_synopsis():
+    """Subcommand -> set of --flags in the README "Command line" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    flags = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("latfuse "):
+            cmd = line.split()[1]
+            flags[cmd] = set()
+        if line.strip():
+            flags[cmd] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_synopsis_lists_every_flag():
+    sub = next(a for a in build_parser()._actions if a.choices)
+    parsers = {
+        cmd: {opt for a in p._actions for opt in a.option_strings
+              if opt not in ("-h", "--help")}
+        for cmd, p in sub.choices.items()
+    }
+    assert _readme_synopsis() == parsers

@@ -220,6 +220,29 @@ class TestGlobal:
         col = merge_subnetworks({"a": 0.6, "b": 0.4}, {"a": 1.0}, 0.5, 1.0)
         assert sum(col.values()) == pytest.approx(1.0, abs=1e-12)
 
+    # -0.1 used to give complex scores, -0.5 a ZeroDivisionError, nan nan
+    BAD_LAMBDAS = [
+        (-0.1, "^lam must be > 0$"),
+        (-0.5, "^lam must be > 0$"),
+        (0.0, "^lam must be > 0$"),
+        (math.nan, "^lam must be finite$"),
+        (math.inf, "^lam must be finite$"),
+        (-math.inf, "^lam must be finite$"),
+    ]
+
+    @pytest.mark.parametrize("lam, message", BAD_LAMBDAS)
+    def test_merge_subnetworks_rejects_bad_lam(self, lam, message):
+        with pytest.raises(ValueError, match=message):
+            merge_subnetworks({"a": 1.0}, {"b": 1.0}, 0.5, lam)
+
+    @pytest.mark.parametrize("lam, message", BAD_LAMBDAS)
+    def test_combine_cns_rejects_bad_lam(self, lam, message):
+        cn_i = cn_from_wg(single_path_wg(("xa", "xb"), 1.0))
+        cn_a = cn_from_wg(single_path_wg(("xa",), 1.0))
+        path = dtw_align(cn_i, cn_a)[0]
+        with pytest.raises(ValueError, match=message):
+            combine_cns(cn_i, cn_a, 0.5, lam, path)
+
     def test_swap_symmetry_on_close_vocab(self):
         # close tokens keep every pair distance < 1, so no column doubling
         # and no DTW tie ambiguity in practice
