@@ -249,64 +249,106 @@ def align_seq_to_lattice(
     broken by the larger path score, then the lexicographically smallest
     vertex-id and label sequence.  Returns the path (with edge scores) and
     its edit distance.
+
+    Each vertex has a row of ``len(seq) + 1`` entries ``(cost, -logscore,
+    node)``, or None where no alignment arrives.  A node is a back-pointer:
+    node 0 is the initial vertex, and node i extends node ``parent[i]`` by
+    edge ``via[i]``.  Nodes are interned per (parent node, position of the
+    edge in ``wg.out_edges()``), in ``children``, so every alignment of one
+    edge sequence holds the same node, and each edge sequence sums its log
+    scores in path order to the same float.  A move wins on a smaller (cost, -logscore);
+    on an exact tie the same node means the same path and the entry stays,
+    and only two distinct paths with bit-equal sums are compared by their
+    vertex ids and labels, walked from the chains.  The first arrival keeps
+    a full tie.  Label and score tuples are built once, for the winner.
     """
     order = topological_order(wg)
     adj = wg.out_edges()
     toks = _label_tuple(seq)
     n = len(toks)
+    # node 0 is the initial vertex; children[node][k] is the node that
+    # extends it by its vertex's k-th out-edge, 0 until made
+    parent, via, children = [None], [None], [[0] * len(adj[wg.initial])]
 
-    # state key: (cost, -logscore, vids, labels); payload adds edge scores
-    start = (0, 0.0, (wg.initial,), (), ())
-    states = {(wg.initial, 0): start}
-    get = states.get
+    def path_edges(node):
+        edges = []
+        while node:
+            edges.append(via[node])
+            node = parent[node]
+        edges.reverse()
+        return edges
 
-    def relax(key, cand):
-        cur = get(key)
-        if cur is None or cand[:4] < cur[:4]:
-            states[key] = cand
+    def before(a, b):
+        """Path node a ranks before b: vertex ids, then labels."""
+        if a == b:
+            return False
+        ea, eb = path_edges(a), path_edges(b)
+        return ([e.dst for e in ea], [e.label for e in ea]) < (
+            [e.dst for e in eb], [e.label for e in eb])
 
+    def new_node(node, k, e, kids):
+        kids[k] = len(via)
+        parent.append(node)
+        via.append(e)
+        children.append([0] * len(adj[e.dst]))
+        return kids[k]
+
+    rows = [None] * wg.num_vertices
+    rows[wg.initial] = [(0, 0.0, 0)] + [None] * n
     for v in order:
-        for j in range(n + 1):
-            st = get((v, j))
+        row = rows[v]
+        if row is None:
+            continue
+        moves = []
+        for k, e in enumerate(adj[v]):
+            if rows[e.dst] is None:
+                rows[e.dst] = [None] * (n + 1)
+            moves.append((k, e, rows[e.dst], math.log(e.score)))
+        for j, tok in enumerate(toks + (None,)):
+            st = row[j]
             if st is None:
                 continue
-            cost, neglog, vids, labels, scores = st
+            cost, neglog, node = st
+            c = cost + 1
+            kids = children[node]
             if j < n:
-                # consume one reference token against no edge
-                relax((v, j + 1), (cost + 1, neglog, vids, labels, scores))
-            for e in adj[v]:
-                # The edge moves to (e.dst, j + 1), matching or substituting
-                # toks[j], and to (e.dst, j), inserting its label.  A move
-                # whose (cost, -logscore) exceeds the entry's there loses
-                # whatever its path, so the extended tuples are built only
-                # for a move that passes that test, and once per edge.
-                nl = neglog - math.log(e.score)
-                ext = None
+                # consume toks[j] against no edge
+                cur = row[j + 1]
+                if cur is None or c < cur[0] or c == cur[0] and (
+                        neglog < cur[1]
+                        or neglog == cur[1] and before(node, cur[2])):
+                    row[j + 1] = (c, neglog, node)
+            for k, e, drow, log_score in moves:
+                # The edge moves to (dst, j + 1), matching or substituting
+                # toks[j], and to (dst, j), inserting its label.  Both reach
+                # one child node, made only for a move that can win.
+                nl = neglog - log_score
                 if j < n:
-                    key = (e.dst, j + 1)
-                    c = cost + (0 if e.label == toks[j] else 1)
-                    cur = get(key)
-                    if cur is None or (c, nl) <= cur[:2]:
-                        ext = (vids + (e.dst,), labels + (e.label,),
-                               scores + (e.score,))
-                        cand = (c, nl, *ext)
-                        if cur is None or cand[:4] < cur[:4]:
-                            states[key] = cand
-                key = (e.dst, j)
-                cur = get(key)
-                if cur is None or (cost + 1, nl) <= cur[:2]:
-                    if ext is None:
-                        ext = (vids + (e.dst,), labels + (e.label,),
-                               scores + (e.score,))
-                    cand = (cost + 1, nl, *ext)
-                    if cur is None or cand[:4] < cur[:4]:
-                        states[key] = cand
+                    cm = cost if e.label == tok else c
+                    cur = drow[j + 1]
+                    if cur is None or cm < cur[0] or (
+                            cm == cur[0] and nl <= cur[1]):
+                        kid = kids[k] or new_node(node, k, e, kids)
+                        if cur is None or cm < cur[0] or nl < cur[1] or (
+                                before(kid, cur[2])):
+                            drow[j + 1] = (cm, nl, kid)
+                cur = drow[j]
+                if cur is None or c < cur[0] or c == cur[0] and nl <= cur[1]:
+                    kid = kids[k] or new_node(node, k, e, kids)
+                    if cur is None or c < cur[0] or nl < cur[1] or (
+                            before(kid, cur[2])):
+                        drow[j] = (c, nl, kid)
 
     # a valid graph reaches a final, and every reached final consumes all of seq
-    cost, _neglog, _vids, labels, scores = min(
-        (states[f, n] for f in wg.finals if (f, n) in states),
-        key=lambda st: st[:4])
-    return SymbolSequence(labels, scores), cost
+    best = None
+    for f in wg.finals:
+        st = rows[f] and rows[f][n]
+        if st and (best is None or st[:2] < best[:2]
+                   or st[:2] == best[:2] and before(st[2], best[2])):
+            best = st
+    edges = path_edges(best[2])
+    return SymbolSequence(tuple(e.label for e in edges),
+                          tuple(e.score for e in edges)), best[0]
 
 
 def subnetwork_distance(sub_a: dict, sub_b: dict) -> float:

@@ -159,8 +159,11 @@ def merge_subnetworks(sub_i: dict, sub_a: dict, alpha: float, lam: float) -> dic
 
     Scores are smoothed over the union label set L as (s + lam)/(1 + lam|L|),
     combined as image^alpha * audio^(1-alpha), and renormalized to sum to 1.
-    ``lam`` must be finite and > 0.
+    ``alpha`` must lie strictly inside (0, 1), as ``FusionConfig`` requires,
+    and ``lam`` must be finite and > 0.
     """
+    if not 0.0 < alpha < 1.0:  # also rejects NaN
+        raise ValueError("alpha must lie strictly inside (0, 1)")
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
     if lam <= 0:

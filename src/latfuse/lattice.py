@@ -7,12 +7,13 @@ confusion network (CN) is the "sausage" form of the same search space: a
 totally ordered list of subnetworks, each a normalized label distribution.
 
 All types are immutable after construction and every operation is a pure
-function, so values can be shared freely across threads.  The one piece of
-hidden state is a memo: ``best_path`` and ``n_best_paths`` keep each decoded
-path list on the ``WordGraph`` instance (in its ``__dict__``, outside the
-dataclass fields, so equality, hashing and results are unaffected) and hand
-out copies.  The memo lives and dies with the graph; two threads racing on
-it at worst decode the same list twice.
+function, so values can be shared freely across threads.  The only hidden
+state is memos on the ``WordGraph`` instance (in its ``__dict__``, outside
+the dataclass fields, so equality, hashing and results are unaffected):
+``best_path`` and ``n_best_paths`` keep each decoded path list and hand out
+copies, and ``topological_order`` and ``out_edges`` keep their tuples.  The
+memos live and die with the graph; two threads racing on one at worst
+compute it twice.
 
 A ``WordGraph`` is valid by construction: its constructor runs
 ``validate_wg`` and raises ``LatticeError`` naming the first violated
@@ -142,13 +143,18 @@ class WordGraph:
             raise LatticeError(
                 f"invalid word graph: {verdict.violation}{detail}")
 
-    def out_edges(self) -> list[list[Edge]]:
-        """Adjacency lists indexed by source vertex, in deterministic order."""
-        adj = [[] for _ in range(self.num_vertices)]
-        for e in self.edges:
-            adj[e.src].append(e)
-        for lst in adj:
-            lst.sort(key=lambda e: (e.dst, e.label, e.score))
+    def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
+        """Out-edges indexed by source vertex, each sorted by (dst, label,
+        score).  Built once per graph and kept in its ``__dict__``; tuples,
+        so no caller can change them."""
+        adj = self.__dict__.get("_out_edges")
+        if adj is None:
+            lists = [[] for _ in range(self.num_vertices)]
+            for e in self.edges:
+                lists[e.src].append(e)
+            adj = self.__dict__["_out_edges"] = tuple(
+                tuple(sorted(lst, key=lambda e: (e.dst, e.label, e.score)))
+                for lst in lists)
         return adj
 
 
@@ -184,8 +190,16 @@ class Verdict:
         return self.ok
 
 
-def topological_order(wg: WordGraph) -> list[int] | None:
-    """Kahn topological order of all vertices, or None if the graph has a cycle."""
+def topological_order(wg: WordGraph) -> tuple[int, ...] | None:
+    """Kahn topological order of all vertices, or None if the graph has a cycle.
+
+    Ready vertices leave smallest id first.  The order is computed once per
+    graph (by ``validate_wg``, at construction) and kept, as a tuple, in the
+    graph's ``__dict__``.
+    """
+    order = wg.__dict__.get("_topological_order")
+    if order is not None:
+        return order
     indeg = [0] * wg.num_vertices
     adj = [[] for _ in range(wg.num_vertices)]
     for e in wg.edges:
@@ -202,6 +216,7 @@ def topological_order(wg: WordGraph) -> list[int] | None:
                 heapq.heappush(queue, u)
     if len(order) != wg.num_vertices:
         return None
+    order = wg.__dict__["_topological_order"] = tuple(order)
     return order
 
 
@@ -231,29 +246,24 @@ def validate_wg(wg: WordGraph) -> Verdict:
             return Verdict(False, "edge label empty or has whitespace", e)
         if not 0.0 < e.score <= 1.0:
             return Verdict(False, "edge score outside (0, 1]", e)
-    order = topological_order(wg)
-    if order is None:
+    if topological_order(wg) is None:
         return Verdict(False, "acyclic", None)
     for e in wg.edges:
         if e.dst == wg.initial:
             return Verdict(False, "edge enters initial vertex", e)
         if e.src in wg.finals:
             return Verdict(False, "edge leaves final vertex", e)
-    if _count_paths_along(wg, order) == 0:
+    if count_paths(wg) == 0:
         return Verdict(False, "no complete path", None)
     return Verdict(True)
 
 
 def count_paths(wg: WordGraph) -> int:
     """Exact number of complete paths (exact integer arithmetic)."""
-    return _count_paths_along(wg, topological_order(wg))
-
-
-def _count_paths_along(wg: WordGraph, order: list[int]) -> int:
     ways = [0] * wg.num_vertices
     ways[wg.initial] = 1
     adj = wg.out_edges()
-    for v in order:
+    for v in topological_order(wg):
         if ways[v] == 0:
             continue
         for e in adj[v]:

@@ -365,9 +365,12 @@ def run_scenario(
     for t in range(spec.trials):
         truth, wg_i, wg_a = _trial_sample(spec, scenario_id, t, noise_i, noise_a)
         n = len(truth.labels)
+        errors = {}  # label tuple -> edit distance to truth, per trial
 
         def record(bucket, hyp):
-            bucket.append((edit_distance(hyp, truth), n))
+            if hyp.labels not in errors:
+                errors[hyp.labels] = edit_distance(hyp, truth)
+            bucket.append((errors[hyp.labels], n))
 
         seq_i, _ = best_path(wg_i)
         seq_a, _ = best_path(wg_a)

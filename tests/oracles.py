@@ -178,6 +178,62 @@ def nearest_path_by_enumeration(wg, seq):
     )
 
 
+def seq_to_lattice_by_tuples(wg, seq):
+    """Nearest complete path by a DP whose states carry whole paths.
+
+    Each (vertex, consumed-prefix) state holds ``(cost, -logscore, vids,
+    labels, scores)``, log scores summed in path order, and a move replaces
+    the entry only when its first four fields compare smaller, so the first
+    arrival keeps a full tie.  Moves are relaxed vertex by vertex in
+    topological order (smallest ready id first), then by prefix length, the
+    in-row move (consume a token against no edge) before the edges, edges
+    sorted by (dst, label, score), and per edge the match/substitution
+    before the insertion.  The winner is the smallest entry over the finals
+    that consumed all of ``seq``, the first on a full tie, in ``wg.finals``
+    iteration order.  Returns ``(labels, scores, cost)``.
+    """
+    adj = {}
+    indeg = [0] * wg.num_vertices
+    for e in wg.edges:
+        adj.setdefault(e.src, []).append(e)
+        indeg[e.dst] += 1
+    for lst in adj.values():
+        lst.sort(key=lambda e: (e.dst, e.label, e.score))
+    ready = sorted(v for v in range(wg.num_vertices) if indeg[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for e in adj.get(v, []):
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                ready = sorted(ready + [e.dst])
+    toks = tuple(seq)
+    n = len(toks)
+    states = {(wg.initial, 0): (0, 0.0, (wg.initial,), (), ())}
+
+    def relax(key, cand):
+        if key not in states or cand[:4] < states[key][:4]:
+            states[key] = cand
+
+    for v in order:
+        for j in range(n + 1):
+            if (v, j) not in states:
+                continue
+            cost, neglog, vids, labels, scores = states[v, j]
+            if j < n:
+                relax((v, j + 1), (cost + 1, neglog, vids, labels, scores))
+            for e in adj.get(v, []):
+                ext = (neglog - math.log(e.score), vids + (e.dst,),
+                       labels + (e.label,), scores + (e.score,))
+                if j < n:
+                    relax((e.dst, j + 1), (cost + (e.label != toks[j]), *ext))
+                relax((e.dst, j), (cost + 1, *ext))
+    best = min((states[f, n] for f in wg.finals if (f, n) in states),
+               key=lambda st: st[:4])
+    return best[3], best[4], best[0]
+
+
 def mbr_by_enumeration(wg_i, wg_a, alpha):
     """Literal evaluation of the weighted expected-risk decision rule.
 

@@ -9,6 +9,7 @@ from latfuse import (
     SymbolSequence,
     WordGraph,
     align_seq_to_lattice,
+    best_path,
     dtw_align,
     edit_distance,
     normalized_char_ed,
@@ -16,10 +17,12 @@ from latfuse import (
     subnetwork_distance,
 )
 from latfuse import align as align_module
+from latfuse import simulate
 from latfuse.align import _align_to_pivot, edit_distance_matrix
 from latgen import random_cn, random_wg
 from oracles import (
-    dfs_paths, dtw_min_cost, pivot_rows, simple_ed, sw_best_score,
+    dfs_paths, dtw_min_cost, pivot_rows, seq_to_lattice_by_tuples, simple_ed,
+    sw_best_score,
 )
 
 RNG_TOKENS = ("a", "b", "c", "d")
@@ -366,6 +369,50 @@ class TestSeqToLattice:
         with pytest.raises(LatticeError,
                            match="^invalid word graph: no complete path$"):
             WordGraph(3, 0, {2}, [(0, 1, "a", 0.5)])
+
+
+class TestSeqToLatticeExact:
+    """``align_seq_to_lattice`` against ``oracles.seq_to_lattice_by_tuples``:
+    labels, scores and cost, exactly.  The enumeration tests above check
+    labels only; these also pin which scores come back when distinct paths
+    tie on cost, score, vertex ids and labels."""
+
+    @staticmethod
+    def result(seq, wg):
+        path, cost = align_seq_to_lattice(SymbolSequence(seq), wg)
+        return path.labels, path.scores, cost
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(41)
+        for k in range(1500):
+            wg = random_wg(rng, vocab=RNG_TOKENS[: int(rng.integers(2, 5))])
+            edges = list(wg.edges)
+            if k % 3 == 0:
+                # equal-cost paths of one length tie exactly on their score
+                edges = [e._replace(score=0.5) for e in edges]
+            elif k % 3 == 1:
+                # same-label parallel copies one ulp below the original: once
+                # the log sum is large enough to absorb the difference, two
+                # paths tie on everything but their scores, and the first
+                # arrival, in out_edges() order, decides which come back
+                edges += [e._replace(score=float(np.nextafter(e.score, 0)))
+                          for e in edges if rng.random() < 0.5]
+            wg = WordGraph(wg.num_vertices, wg.initial, wg.finals, edges)
+            seq = rand_seq(rng)
+            assert self.result(seq, wg) == seq_to_lattice_by_tuples(wg, seq)
+
+    def test_grid_sausages(self):
+        # about the calibrated rates at seed 7
+        rates = {"High": 0.282, "Medium": 0.178, "Low": 0.074}
+        for sid, spec in enumerate(simulate.grid_specs(trials=2, seed=7), 1):
+            for t in range(spec.trials):
+                _, wg_i, wg_a = simulate._trial_sample(
+                    spec, sid, t, rates[spec.image_level],
+                    rates[spec.audio_level])
+                for src, corr in ((wg_i, wg_a), (wg_a, wg_i)):
+                    seq = best_path(src)[0].labels
+                    assert (self.result(seq, corr)
+                            == seq_to_lattice_by_tuples(corr, seq))
 
 
 class TestDtw:

@@ -243,6 +243,24 @@ class TestGlobal:
         with pytest.raises(ValueError, match=message):
             combine_cns(cn_i, cn_a, 0.5, lam, path)
 
+    # nan used to give nan scores; 1.5 and -0.5 extrapolated
+    BAD_ALPHAS = [0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_merge_subnetworks_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError,
+                           match=r"^alpha must lie strictly inside \(0, 1\)$"):
+            merge_subnetworks({"a": 1.0}, {"b": 1.0}, alpha, 1.0)
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_combine_cns_rejects_bad_alpha(self, alpha):
+        cn_i = cn_from_wg(single_path_wg(("xa", "xb"), 1.0))
+        cn_a = cn_from_wg(single_path_wg(("xa",), 1.0))
+        path = dtw_align(cn_i, cn_a)[0]
+        with pytest.raises(ValueError,
+                           match=r"^alpha must lie strictly inside \(0, 1\)$"):
+            combine_cns(cn_i, cn_a, alpha, 1.0, path)
+
     def test_swap_symmetry_on_close_vocab(self):
         # close tokens keep every pair distance < 1, so no column doubling
         # and no DTW tie ambiguity in practice

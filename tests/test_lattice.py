@@ -469,6 +469,28 @@ class TestDecodeMemo:
         assert (best_path(restored), n_best_paths(restored, 100)) == expected
         assert (best_path(fresh), n_best_paths(fresh, 100)) == expected
 
+    def test_order_and_adjacency_built_once(self):
+        wg = tie_wg()
+        order, adj = lattice.topological_order(wg), wg.out_edges()
+        assert lattice.topological_order(wg) is order
+        assert wg.out_edges() is adj
+        # tuples all the way down, so a caller cannot change the memo
+        assert isinstance(order, tuple)
+        assert isinstance(adj, tuple) and all(type(a) is tuple for a in adj)
+        assert adj == tuple(
+            tuple(sorted((e for e in wg.edges if e.src == v),
+                         key=lambda e: (e.dst, e.label, e.score)))
+            for v in range(wg.num_vertices))
+        # replace() builds a new graph with its own memo; equality and
+        # hashing still see the fields only
+        same = dataclasses.replace(wg)
+        assert same == wg and hash(same) == hash(wg)
+        assert same.out_edges() == adj and same.out_edges() is not adj
+        reordered = dataclasses.replace(wg, edges=wg.edges[::-1])
+        assert reordered != wg
+        assert reordered.out_edges() == adj
+        assert lattice.topological_order(reordered) == order
+
     @pytest.mark.parametrize(
         "fields, violation",
         [
