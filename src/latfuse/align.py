@@ -9,6 +9,7 @@ per-call scratch space.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import ne
 
 import numpy as np
@@ -25,18 +26,36 @@ def _myers_block(eq, pv, mv, hp_in, hm_in, full, top):
     block's lowest row is +1/-1, and the returned pair says the same of the
     delta leaving its top row (bit ``top``), for the next block (Myers 1999;
     Hyyrö 2003; edlib's ``calculateBlock``).  ``full`` masks the block's
-    width.  Only ``& | ^ ~ + << >>`` are used, so the same code runs on one
+    width.  Only ``& | ^ + << >>`` are used, so the same code runs on one
     Python int of any width and on uint64 numpy arrays of 64-bit words.
+    Augmented assignments rebind an int and update an array in place, and
+    they only ever update arrays made here, so a call makes few temporaries
+    and never changes its arguments.
     """
     xv = eq | mv
     eq = eq | hm_in
-    xh = (((eq & pv) + pv) ^ pv) | eq
-    ph = (mv | ~(xh | pv)) & full
-    mh = pv & xh
+    xh = eq & pv
+    xh += pv
+    xh &= full
+    xh ^= pv
+    xh |= eq  # (((eq & pv) + pv) ^ pv) | eq, within full
+    ph = xh | pv
+    ph ^= full
+    ph |= mv  # (mv | ~(xh | pv)) & full
+    mh = xh
+    mh &= pv  # pv & xh; xh is not read again
     hp_out, hm_out = ph >> top, mh >> top  # 0 or 1: both are masked by full
-    ph = (ph << 1) | hp_in
-    mh = (mh << 1) | hm_in
-    return (mh | ~(xv | ph)) & full, ph & xv, hp_out, hm_out
+    ph <<= 1
+    ph |= hp_in
+    mh <<= 1
+    mh |= hm_in
+    mv = ph & xv
+    pv = xv
+    pv |= ph
+    pv ^= full
+    pv |= mh
+    pv &= full  # (mh | ~(xv | ph)) & full
+    return pv, mv, hp_out, hm_out
 
 
 def edit_distance(a, b) -> int:
@@ -357,13 +376,7 @@ def subnetwork_distance(sub_a: dict, sub_b: dict) -> float:
     Posterior-weighted mean over label pairs; equals 1 exactly when every
     cross pair of labels is completely different.
     """
-    total = 0.0
-    for la, sa in sub_a.items():
-        for lb, sb in sub_b.items():
-            d = normalized_char_ed(la, lb)
-            if d:
-                total += sa * sb * d
-    return total
+    return _subnetwork_distances([sub_a], [sub_b])[0][0]
 
 
 def completely_different(sub_a: dict, sub_b: dict) -> bool:
@@ -371,6 +384,42 @@ def completely_different(sub_a: dict, sub_b: dict) -> bool:
     return all(
         normalized_char_ed(la, lb) == 1.0 for la in sub_a for lb in sub_b
     )
+
+
+def _subnetwork_distances(subs_a, subs_b) -> list:
+    """``subnetwork_distance`` of every subnetwork pair, rows by ``subs_a``.
+
+    A pair's distance is the sum of ``sa * sb * d`` over its label pairs,
+    with ``d = normalized_char_ed(la, lb)`` (run once per distinct label
+    pair), added one at a time to 0.0 in nested dict order, ``sub_a``
+    outer, skipping ``d == 0``.  Each pair's products are laid out in that
+    order behind one leading 0.0, with 0.0 for a skipped or padding entry
+    (padding has label index -1, whose distance row and column are 0), and
+    ``np.cumsum`` adds them one at a time.  A sum that starts at 0.0 never
+    reads -0.0, so adding 0.0 leaves it as it is, and every float is the
+    one the loop gives, nan and inf included.
+    """
+    def padded(subs, ids):
+        idx = np.full((len(subs), max(map(len, subs))), -1)
+        score = np.zeros(idx.shape)
+        for k, sub in enumerate(subs):
+            idx[k, :len(sub)] = [ids.setdefault(lab, len(ids)) for lab in sub]
+            score[k, :len(sub)] = list(sub.values())
+        return idx, score
+
+    ids_a, ids_b = {}, {}
+    ia, sa = (x[:, None, :, None] for x in padded(subs_a, ids_a))
+    ib, sb = (x[None, :, None, :] for x in padded(subs_b, ids_b))
+    dist = np.zeros((len(ids_a) + 1, len(ids_b) + 1))
+    dist[:-1, :-1] = np.reshape([[normalized_char_ed(la, lb) for lb in ids_b]
+                                 for la in ids_a], (len(ids_a), len(ids_b)))
+    d = dist[ia, ib]
+    n, m, wa, wb = d.shape
+    terms = np.zeros((n, m, 1 + wa * wb))
+    with np.errstate(all="ignore"):  # as float arithmetic, which never warns
+        terms[:, :, 1:] = np.where(d != 0.0, sa * sb * d,
+                                   0.0).reshape(n, m, wa * wb)
+        return np.cumsum(terms, axis=2)[:, :, -1].tolist()
 
 
 def dtw_align(cn_a, cn_b):
@@ -385,21 +434,18 @@ def dtw_align(cn_a, cn_b):
     n, m = len(subs_a), len(subs_b)
     if n == 0 or m == 0:
         raise ValueError("empty confusion network")
-    local = [[subnetwork_distance(a, b) for b in subs_b] for a in subs_a]
-    acc = [[math.inf] * m for _ in range(n)]
-    acc[0][0] = local[0][0]
-    for i in range(n):
-        for j in range(m):
-            if i == 0 and j == 0:
-                continue
-            prev = math.inf
-            if i > 0 and j > 0:
-                prev = acc[i - 1][j - 1]
-            if i > 0:
-                prev = min(prev, acc[i - 1][j])
-            if j > 0:
-                prev = min(prev, acc[i][j - 1])
-            acc[i][j] = local[i][j] + prev
+    local = _subnetwork_distances(subs_a, subs_b)
+    # A predecessor outside the matrix counts as inf, and min is taken in
+    # the order diagonal, up, left; min(inf, x) is x except for a nan x.
+    acc = [list(accumulate(local[0], lambda left, c: c + min(math.inf, left)))]
+    for costs in local[1:]:
+        up = acc[-1]
+        left = costs[0] + min(math.inf, up[0])
+        row = [left]
+        for c, diag, above in zip(costs[1:], up, up[1:]):
+            left = c + min(min(diag, above), left)
+            row.append(left)
+        acc.append(row)
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i > 0 or j > 0:

@@ -3,13 +3,12 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .align import edit_distance
 from .lattice import SymbolSequence
 
 #: Largest effective sample size for which the exact null distribution of the
-#: signed-rank statistic is enumerated; the normal approximation (with tie
+#: signed-rank statistic is counted; the normal approximation (with tie
 #: correction) takes over beyond it.
 EXACT_LIMIT = 20
 
@@ -58,31 +57,50 @@ class WilcoxonResult:
     verdict: str
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each run of equal values sharing its mean rank.
+
+    A run at sorted positions ``start`` to ``end - 1`` holds ranks
+    ``start + 1`` to ``end``, so it gets ``(start + 1 + end) / 2``: a
+    multiple of 1/2, hence exact.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(xs)]
+    ranks = np.empty(len(xs))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
-    """Two-sided p by enumerating all sign assignments of the ranks."""
-    n = len(ranks)
-    sums = np.zeros(1 << n)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    for k in range(n):
-        sums[(masks >> np.uint64(k)) & np.uint64(1) == 1] += ranks[k]
-    # ranks are multiples of 1/2 (average ranks), so sums are exact floats
-    # and the comparisons below are exact
-    total = float(ranks.sum())
-    w_low = min(w_plus, total - w_plus)
-    count = np.count_nonzero(sums <= w_low) + np.count_nonzero(
-        sums >= total - w_low
-    )
-    return min(1.0, count / (1 << n))
+    """Two-sided p from the exact null distribution of the positive rank sum.
+
+    The ranks are multiples of 1/2, so doubled they are integers, and
+    ``counts[s]`` (built one rank at a time) is the number of the 2^n sign
+    assignments whose doubled positive sum is ``s``.  The tails are counted
+    exactly, in O(n * sum of ranks) instead of O(2^n).
+    """
+    doubled = (2.0 * ranks).astype(np.int64)
+    total = int(doubled.sum())
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        counts[r:] = counts[r:] + counts[:-r]
+    w2 = int(2.0 * w_plus)
+    w_low = min(w2, total - w2)
+    count = int(counts[: w_low + 1].sum() + counts[total - w_low:].sum())
+    return min(1.0, count / (1 << len(ranks)))
 
 
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Paired two-sided Wilcoxon signed-rank test of ``a`` against ``b``.
 
     Zero differences are dropped; tied absolute differences get average
-    ranks.  The p-value is exact (sign enumeration) for up to 20 effective
-    pairs and a tie-corrected normal approximation beyond that.  The verdict
-    direction comes from the rank sums: "greater" means ``a`` tends to be
-    larger than ``b``.  Every value must be finite.
+    ranks.  The p-value is exact (a count over all sign assignments) for up
+    to 20 effective pairs and a tie-corrected normal approximation beyond
+    that.  The verdict direction comes from the rank sums: "greater" means
+    ``a`` tends to be larger than ``b``.  Every value must be finite.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -97,7 +115,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     n = len(diff)
     if n < 2:
         raise ValueError("fewer than 2 non-zero differences")
-    ranks = rankdata(np.abs(diff))
+    ranks = _average_ranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     w_minus = float(ranks[diff < 0].sum())
     statistic = min(w_plus, w_minus)
@@ -108,12 +126,13 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         mean = n * (n + 1) / 4.0
         _, counts = np.unique(ranks, return_counts=True)
         tie_term = float(((counts**3 - counts) / 48.0).sum())
+        # the sum of the squared ranks over 4, so never 0
         var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-        if var <= 0:
-            p = 1.0
-        else:
-            z = (w_plus - mean) / np.sqrt(var)
-            p = float(min(1.0, 2.0 * norm.sf(abs(z))))
+        # scipy is loaded only here, so importing latfuse never loads it
+        from scipy.stats import norm
+
+        z = (w_plus - mean) / np.sqrt(var)
+        p = float(min(1.0, 2.0 * norm.sf(abs(z))))
 
     if p >= DEFAULT_SIGNIFICANCE:
         verdict = "no-difference"

@@ -5,13 +5,18 @@ DP matrices, literal enumeration) and shares no code with the package
 internals beyond the public data types.  The one exception is
 ``cn_by_pivot_alignment``, which takes its path list from the public
 ``n_best_paths`` (checked against ``n_best_by_enumeration`` on its own), so
-that it also covers lattices too large to enumerate.
+that it also covers lattices too large to enumerate.  Likewise
+``subnetwork_distance_by_loop`` takes each label pair's distance from the
+public ``normalized_char_ed`` (tested on its own): what it pins is the order
+of the sum.
 """
 
 import itertools
 import math
 
-from latfuse import EPS, n_best_paths
+import numpy as np
+
+from latfuse import EPS, n_best_paths, normalized_char_ed
 
 
 def dfs_paths(wg, log=False):
@@ -353,6 +358,37 @@ def wilcoxon_by_enumeration(a, b):
         if w <= w_low or w >= total - w_low:
             count += 1
     return w_low, n, min(1.0, count / 2**n)
+
+
+def wilcoxon_p_by_enumeration(ranks, w_plus):
+    """Two-sided signed-rank p by enumerating all 2^n sign assignments.
+
+    ``ranks`` are average ranks (multiples of 1/2, so every sum is an exact
+    float) and ``w_plus`` is the observed positive rank sum.
+    """
+    n = len(ranks)
+    sums = np.zeros(1 << n)
+    masks = np.arange(1 << n, dtype=np.uint64)
+    for k in range(n):
+        sums[(masks >> np.uint64(k)) & np.uint64(1) == 1] += ranks[k]
+    total = float(np.sum(ranks))
+    w_low = min(w_plus, total - w_plus)
+    count = np.count_nonzero(sums <= w_low) + np.count_nonzero(
+        sums >= total - w_low
+    )
+    return min(1.0, count / (1 << n))
+
+
+def subnetwork_distance_by_loop(sub_a, sub_b):
+    """Expected normalized character edit distance, one label pair at a
+    time in nested dict order, skipping pairs at distance 0."""
+    total = 0.0
+    for la, sa in sub_a.items():
+        for lb, sb in sub_b.items():
+            d = normalized_char_ed(la, lb)
+            if d:
+                total += sa * sb * d
+    return total
 
 
 def column_argmax(cn):

@@ -22,7 +22,7 @@ from latfuse.align import _align_to_pivot, edit_distance_matrix
 from latgen import random_cn, random_wg
 from oracles import (
     dfs_paths, dtw_min_cost, pivot_rows, seq_to_lattice_by_tuples, simple_ed,
-    sw_best_score,
+    subnetwork_distance_by_loop, sw_best_score,
 )
 
 RNG_TOKENS = ("a", "b", "c", "d")
@@ -470,6 +470,43 @@ class TestDtw:
 
         with pytest.raises(ValueError):
             dtw_align(ConfusionNetwork(()), ConfusionNetwork([{"a": 1.0}]))
+
+    def test_cost_equals_recursion_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            a = random_cn(rng, max_len=8)
+            b = random_cn(rng, max_len=8)
+            local = [
+                [subnetwork_distance_by_loop(sa, sb) for sb in b.subnetworks]
+                for sa in a.subnetworks
+            ]
+            _, cost = dtw_align(a, b)
+            assert cost.hex() == dtw_min_cost(local).hex()
+
+    def test_local_costs_are_the_loop_bit_for_bit(self):
+        # raw subnetworks, so scores no valid network holds (nan, inf, -0.0,
+        # negative, huge) reach the sum too
+        rng = np.random.default_rng(42)
+        labels = ["a", "b", "ab", "ba", "abc", EPS]
+        odd = [0.0, -0.0, -0.5, float("nan"), float("inf"), -float("inf"),
+               1e200, 1e-200]
+        for k in range(300):
+            def subs():
+                out = []
+                for _ in range(int(rng.integers(1, 6))):
+                    labs = rng.choice(labels, size=int(rng.integers(0, 4)),
+                                      replace=False)
+                    out.append({str(lab): float(rng.choice(odd)) if k % 3 == 0
+                                else float(rng.random()) for lab in labs})
+                return out
+
+            subs_a, subs_b = subs(), subs()
+            got = align_module._subnetwork_distances(subs_a, subs_b)
+            for sa, row in zip(subs_a, got):
+                for sb, d in zip(subs_b, row):
+                    want = subnetwork_distance_by_loop(sa, sb).hex()
+                    assert d.hex() == want
+                    assert subnetwork_distance(sa, sb).hex() == want
 
 
 class TestSmithWaterman:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,8 @@ from latfuse import (
     ser,
     wilcoxon_signed_rank,
 )
-from oracles import wilcoxon_by_enumeration
+from latfuse.metrics import _average_ranks, _exact_two_sided_p
+from oracles import wilcoxon_by_enumeration, wilcoxon_p_by_enumeration
 
 
 def pair(hyp, ref):
@@ -150,6 +155,88 @@ class TestWilcoxon:
         ref = scipy_wilcoxon(
             a, b, zero_method="wilcox", correction=False, method="approx"
         )
+        assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-9)
+
+
+class TestWilcoxonInternals:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_counting_dp_equals_enumeration_bit_for_bit(self, n):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(1000 + n)
+        tie_free = rng.permutation(np.arange(1.0, n + 1))
+        tie_heavy = rankdata(rng.integers(1, 4, size=n))
+        for ranks in (tie_free, tie_heavy):
+            for _ in range(2):
+                w_plus = float(ranks[rng.random(n) < 0.5].sum())
+                got = _exact_two_sided_p(ranks, w_plus)
+                want = wilcoxon_p_by_enumeration(ranks, w_plus)
+                assert type(got) is float
+                assert got.hex() == float(want).hex()
+
+    def test_average_ranks_match_scipy(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(66)
+        for k in range(2000):
+            n = int(rng.integers(1, 40))
+            if k % 2:
+                x = rng.integers(0, int(rng.integers(1, 8)), size=n) / 4.0
+            else:
+                x = rng.normal(size=n)
+            got, want = _average_ranks(x), rankdata(x)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [12, 60])
+    def test_p_value_is_a_python_float(self, n):
+        rng = np.random.default_rng(67)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        assert type(wilcoxon_signed_rank(a, b).p_value) is float
+
+    def test_all_tied_normal_branch(self):
+        res = wilcoxon_signed_rank([1.0] * 25, [0.0] * 25)
+        assert (res.statistic, res.n_effective) == (0.0, 25)
+        assert type(res.p_value) is float and res.p_value < 1e-5
+        assert res.verdict == "greater"
+
+    def test_scipy_stays_off_the_import_path(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        rng = np.random.default_rng(68)
+        a.write_text("\n".join(map(str, rng.integers(0, 9, size=12))) + "\n")
+        b.write_text("\n".join(map(str, rng.integers(0, 9, size=12))) + "\n")
+        code = (
+            "import sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import latfuse\n"
+            "assert not loaded(), loaded()\n"
+            "import latfuse.cli as cli\n"
+            "assert not loaded(), loaded()\n"
+            f"assert cli.run(['wilcoxon', '--a', {str(a)!r}, '--b', {str(b)!r}]) == 0\n"
+            "assert not loaded(), loaded()\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("W ")
+
+    def test_25_pairs_match_scipy(self):
+        from scipy.stats import wilcoxon as scipy_wilcoxon
+
+        rng = np.random.default_rng(69)
+        a = rng.integers(0, 12, size=25).astype(float)
+        b = rng.integers(0, 12, size=25).astype(float)
+        res = wilcoxon_signed_rank(a, b)
+        ref = scipy_wilcoxon(
+            a, b, zero_method="wilcox", correction=False, method="approx"
+        )
+        assert res.n_effective > 20
+        assert res.statistic == float(ref.statistic)
         assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-9)
 
 
