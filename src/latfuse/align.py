@@ -510,62 +510,39 @@ def smith_waterman(a, b, params: SWParams = SWParams()) -> AlignmentResult:
     Standard SW dynamic program with a token-identity match test.  The
     alignment ends at the maximum-scoring cell; among equal maxima the cell
     latest in row-major order wins, which favours alignments that span gaps
-    over shorter gapless prefixes of the same score.  Backtrace ties prefer
-    diagonal, then the gap in ``b``.  Returns the empty alignment (score 0)
-    when no cell is positive.
+    over shorter gapless prefixes of the same score.  The backtrace collects
+    one ``(index into a, index into b)`` pair per column, ``None`` on the
+    gapped side, preferring diagonal, then the gap in ``b``; the aligned
+    labels are the inputs read at those indices.  No positive cell gives no
+    pairs: the empty alignment, score 0.
     """
     xa, xb = _label_tuple(a), _label_tuple(b)
-    n, m = len(xa), len(xb)
-    h = [[0.0] * (m + 1) for _ in range(n + 1)]
+    match, mismatch = params.match_score, params.mismatch_penalty
+    gap = params.gap_penalty
+    h = [[0.0] * (len(xb) + 1) for _ in range(len(xa) + 1)]
     best, bi, bj = 0.0, 0, 0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            step = (
-                params.match_score
-                if xa[i - 1] == xb[j - 1]
-                else params.mismatch_penalty
-            )
-            v = max(
-                0.0,
-                h[i - 1][j - 1] + step,
-                h[i - 1][j] + params.gap_penalty,
-                h[i][j - 1] + params.gap_penalty,
-            )
+    for i in range(1, len(xa) + 1):
+        for j in range(1, len(xb) + 1):
+            step = match if xa[i - 1] == xb[j - 1] else mismatch
+            v = max(0.0, h[i - 1][j - 1] + step, h[i - 1][j] + gap, h[i][j - 1] + gap)
             h[i][j] = v
             if v >= best and v > 0.0:
                 best, bi, bj = v, i, j
-    if best == 0.0:
-        return AlignmentResult((), (), 0.0, (), ())
-
-    rev_a, rev_b, ra_idx, rb_idx = [], [], [], []
+    pairs = []  # (index into a | None, index into b | None), last column first
     i, j = bi, bj
     while i > 0 and j > 0 and h[i][j] > 0.0:
-        v = h[i][j]
-        step = (
-            params.match_score if xa[i - 1] == xb[j - 1] else params.mismatch_penalty
-        )
-        if v == h[i - 1][j - 1] + step:
-            rev_a.append(xa[i - 1])
-            rev_b.append(xb[j - 1])
-            ra_idx.append(i - 1)
-            rb_idx.append(j - 1)
+        step = match if xa[i - 1] == xb[j - 1] else mismatch
+        if h[i][j] == h[i - 1][j - 1] + step:
             i, j = i - 1, j - 1
-        elif v == h[i - 1][j] + params.gap_penalty:
-            rev_a.append(xa[i - 1])
-            rev_b.append(None)
-            ra_idx.append(i - 1)
-            rb_idx.append(None)
+            pairs.append((i, j))
+        elif h[i][j] == h[i - 1][j] + gap:
             i -= 1
+            pairs.append((i, None))
         else:
-            rev_a.append(None)
-            rev_b.append(xb[j - 1])
-            ra_idx.append(None)
-            rb_idx.append(j - 1)
             j -= 1
-    return AlignmentResult(
-        tuple(reversed(rev_a)),
-        tuple(reversed(rev_b)),
-        best,
-        tuple(reversed(ra_idx)),
-        tuple(reversed(rb_idx)),
-    )
+            pairs.append((None, j))
+    a_idx = tuple(k for k, _ in reversed(pairs))
+    b_idx = tuple(k for _, k in reversed(pairs))
+    aligned_a = tuple(None if k is None else xa[k] for k in a_idx)
+    aligned_b = tuple(None if k is None else xb[k] for k in b_idx)
+    return AlignmentResult(aligned_a, aligned_b, best, a_idx, b_idx)

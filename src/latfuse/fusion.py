@@ -181,6 +181,39 @@ def merge_subnetworks(sub_i: dict, sub_a: dict, alpha: float, lam: float) -> dic
     return col
 
 
+def _column_pairs(cn_i: ConfusionNetwork, cn_a: ConfusionNetwork, path: list) -> list:
+    """The ``(image, audio)`` subnetwork pair behind each merged column.
+
+    Walks the ``dtw_align`` warping path: a diagonal step pairs the matched
+    subnetworks, or, if they are completely different, pairs each with the
+    unit-weight ``<eps>`` subnetwork (image first); any other step pairs one
+    subnetwork with ``<eps>`` on the missing side.  Independent of alpha.
+    """
+    subs_i, subs_a = cn_i.subnetworks, cn_a.subnetworks
+    pairs = []
+    prev = None
+    for i, j in path:
+        matched = prev is None or (i - prev[0], j - prev[1]) == (1, 1)
+        if matched:
+            if completely_different(subs_i[i], subs_a[j]):
+                pairs.append((subs_i[i], _EPS_SUBNETWORK))
+                pairs.append((_EPS_SUBNETWORK, subs_a[j]))
+            else:
+                pairs.append((subs_i[i], subs_a[j]))
+        elif i - prev[0] == 1:
+            pairs.append((subs_i[i], _EPS_SUBNETWORK))
+        else:
+            pairs.append((_EPS_SUBNETWORK, subs_a[j]))
+        prev = (i, j)
+    return pairs
+
+
+def _merge_pairs(pairs: list, alpha: float, lam: float) -> ConfusionNetwork:
+    return ConfusionNetwork(
+        tuple(merge_subnetworks(sub_i, sub_a, alpha, lam) for sub_i, sub_a in pairs)
+    )
+
+
 def combine_cns(
     cn_i: ConfusionNetwork,
     cn_a: ConfusionNetwork,
@@ -188,47 +221,21 @@ def combine_cns(
     lam: float,
     path: list,
 ) -> ConfusionNetwork:
-    """Merge two DTW-aligned confusion networks into one.
-
-    Walks the ``dtw_align`` warping path of the pair: diagonal steps
-    merge the matched subnetworks, unless the pair is completely different,
-    in which case the image and audio subnetworks are each emitted merged
-    with the unit-weight ``<eps>`` subnetwork (image first).  Non-diagonal
-    steps leave one subnetwork alone; it merges with the ``<eps>``
-    subnetwork on the missing side.
-    """
-    subs_i = cn_i.subnetworks
-    subs_a = cn_a.subnetworks
-    columns = []
-    prev = None
-    for i, j in path:
-        matched = prev is None or (i - prev[0], j - prev[1]) == (1, 1)
-        if matched:
-            if completely_different(subs_i[i], subs_a[j]):
-                columns.append(
-                    merge_subnetworks(subs_i[i], _EPS_SUBNETWORK, alpha, lam)
-                )
-                columns.append(
-                    merge_subnetworks(_EPS_SUBNETWORK, subs_a[j], alpha, lam)
-                )
-            else:
-                columns.append(merge_subnetworks(subs_i[i], subs_a[j], alpha, lam))
-        elif i - prev[0] == 1:
-            columns.append(merge_subnetworks(subs_i[i], _EPS_SUBNETWORK, alpha, lam))
-        else:
-            columns.append(merge_subnetworks(_EPS_SUBNETWORK, subs_a[j], alpha, lam))
-        prev = (i, j)
-    return ConfusionNetwork(tuple(columns))
+    """Merge two DTW-aligned confusion networks into one column by column:
+    ``merge_subnetworks`` of each ``_column_pairs`` pair along ``path``."""
+    return _merge_pairs(_column_pairs(cn_i, cn_a, path), alpha, lam)
 
 
 def _prepare_global(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
-    """Convert and DTW-align once; merge, decode, strip ``<eps>`` per alpha."""
+    """Convert, DTW-align and pair up the columns once; merge, decode and
+    strip ``<eps>`` per alpha."""
     cn_i = cn_from_wg(wg_i, cfg.max_paths)
     cn_a = cn_from_wg(wg_a, cfg.max_paths)
     path, _ = dtw_align(cn_i, cn_a)
+    pairs = _column_pairs(cn_i, cn_a, path)
 
     def decode(alpha: float) -> SymbolSequence:
-        merged = combine_cns(cn_i, cn_a, alpha, cfg.laplace_lambda, path)
+        merged = _merge_pairs(pairs, alpha, cfg.laplace_lambda)
         return strip_eps(cn_best_path(merged))
 
     return decode
@@ -242,44 +249,27 @@ def merge_aligned_best_paths(
     Within the aligned window: agreeing positions keep the shared symbol,
     gaps keep the symbol that is present, and conflicts keep the symbol with
     the larger edge score (the image side wins exact ties).  Material outside
-    the window is kept in order, image side first.
+    the window is kept in order, image side first: image prefix, audio
+    prefix, the window, image suffix, audio suffix.  An unscored side scores
+    1.0 at every position.
     """
     res = smith_waterman(seq_i, seq_a, sw)
-    a_idx = [k for k in res.a_indices if k is not None]
-    b_idx = [k for k in res.b_indices if k is not None]
-    a_lo, a_hi = (a_idx[0], a_idx[-1] + 1) if a_idx else (0, 0)
-    b_lo, b_hi = (b_idx[0], b_idx[-1] + 1) if b_idx else (0, 0)
-
-    labels = []
-    scores = []
-
-    def take(seq, k):
-        labels.append(seq.labels[k])
-        scores.append(seq.scores[k] if seq.scores is not None else 1.0)
-
-    for k in range(a_lo):
-        take(seq_i, k)
-    for k in range(b_lo):
-        take(seq_a, k)
+    labels = (seq_i.labels, seq_a.labels)
+    scores = tuple(s.scores if s.scores is not None else (1.0,) * len(s)
+                   for s in (seq_i, seq_a))
+    picks, suffixes = [], []  # (side, index): 0 is image, 1 is audio
+    for side, indices in enumerate((res.a_indices, res.b_indices)):
+        kept = [k for k in indices if k is not None]
+        lo, hi = (kept[0], kept[-1] + 1) if kept else (0, 0)
+        picks += [(side, k) for k in range(lo)]
+        suffixes += [(side, k) for k in range(hi, len(labels[side]))]
     for ia, ja in zip(res.a_indices, res.b_indices):
-        if ia is None:
-            take(seq_a, ja)
-        elif ja is None:
-            take(seq_i, ia)
-        elif seq_i.labels[ia] == seq_a.labels[ja]:
-            take(seq_i, ia)
-        else:
-            si = seq_i.scores[ia] if seq_i.scores is not None else 1.0
-            sa = seq_a.scores[ja] if seq_a.scores is not None else 1.0
-            if si >= sa:
-                take(seq_i, ia)
-            else:
-                take(seq_a, ja)
-    for k in range(a_hi, len(seq_i)):
-        take(seq_i, k)
-    for k in range(b_hi, len(seq_a)):
-        take(seq_a, k)
-    return SymbolSequence(tuple(labels), tuple(scores))
+        image_wins = ja is None or ia is not None and (
+            labels[0][ia] == labels[1][ja] or scores[0][ia] >= scores[1][ja])
+        picks.append((0, ia) if image_wins else (1, ja))
+    picks += suffixes
+    return SymbolSequence(tuple(labels[side][k] for side, k in picks),
+                          tuple(scores[side][k] for side, k in picks))
 
 
 def _alpha_free(hyp: SymbolSequence):

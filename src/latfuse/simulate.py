@@ -216,15 +216,20 @@ def generate_wg_pair(
     return out[0], out[1]
 
 
-def _calibration_corpus(spec: ScenarioSpec, rng) -> list:
-    """Fixed truths plus frozen corruption draws for rate bisection."""
+def _draw_truth(spec: ScenarioSpec, rng) -> tuple:
+    """A truth label tuple: its length, then its token indices, from ``rng``."""
     vocab = default_vocabulary(spec.vocab_size)
     lo, hi = spec.sequence_length_range
+    n = int(rng.integers(lo, hi + 1))
+    return tuple(vocab.tokens[i] for i in rng.integers(0, len(vocab), n))
+
+
+def _calibration_corpus(spec: ScenarioSpec, rng) -> list:
+    """Fixed truths plus frozen corruption draws for rate bisection."""
     corpus = []
     for _ in range(CALIBRATION_CORPUS_SIZE):
-        n = int(rng.integers(lo, hi + 1))
-        truth = tuple(vocab.tokens[i] for i in rng.integers(0, len(vocab), n))
-        corpus.append((truth, _draw_corruption(n, rng)))
+        truth = _draw_truth(spec, rng)
+        corpus.append((truth, _draw_corruption(len(truth), rng)))
     return corpus
 
 
@@ -323,12 +328,7 @@ def _trial_sample(
 ):
     """Deterministic (truth, image WG, audio WG) for one trial counter."""
     rng = _trial_rng(spec.seed, scenario_id, trial)
-    vocab = default_vocabulary(spec.vocab_size)
-    lo, hi = spec.sequence_length_range
-    n = int(rng.integers(lo, hi + 1))
-    truth = SymbolSequence(
-        tuple(vocab.tokens[i] for i in rng.integers(0, len(vocab), n))
-    )
+    truth = SymbolSequence(_draw_truth(spec, rng))
     wg_i, wg_a = generate_wg_pair(truth, noise_i, noise_a, spec, rng)
     return truth, wg_i, wg_a
 
@@ -352,8 +352,11 @@ def run_scenario(
     """Generate one scenario's corpus and evaluate baselines and ``METHODS``.
 
     ``noise_rates`` are the (image, audio) corruption rates, as
-    ``calibrated_rate`` gives them for the spec's two levels.
+    ``calibrated_rate`` gives them for the spec's two levels; ``alpha_grid``
+    holds one or more distinct values inside (0, 1).
     """
+    if not alpha_grid or len(set(alpha_grid)) != len(alpha_grid):
+        raise ValueError("alpha grid must be non-empty, without repeats")
     for a in alpha_grid:
         if not 0.0 < a < 1.0:
             raise ValueError("alpha grid values must lie in (0, 1)")

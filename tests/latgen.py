@@ -8,6 +8,8 @@ from latfuse import (
     ConfusionNetwork,
     LatticeError,
     Posteriorgram,
+    SWParams,
+    SymbolSequence,
     WordGraph,
     count_paths,
 )
@@ -68,6 +70,28 @@ def layered_wg(rng, widths, vocab=LETTERS):
         for lab in labs:
             edges.append((t, t + 1, lab, float(rng.uniform(0.05, 1.0))))
     return WordGraph(len(widths) + 1, 0, {len(widths)}, edges)
+
+
+def random_sw_case(rng, unscored_prob=0.3):
+    """Random ``(seq_i, seq_a, params)`` for local alignment and fusion.
+
+    Alphabets of 2, 3 or 6 letters and lengths 0-9 make repeats and ties
+    common; scores come from a few dyadic values so that conflicts tie
+    too; zero penalties are drawn as often as negative ones.  Each side
+    is unscored with probability ``unscored_prob``.
+    """
+    vocab = LETTERS[:int(rng.choice((2, 3, 6)))]
+    params = SWParams(float(rng.choice((0.5, 1.0, 2.0))),
+                      float(rng.choice((0.0, -0.5, -1.0, -2.0))),
+                      float(rng.choice((0.0, -0.5, -1.0, -2.0))))
+    seqs = []
+    for _ in range(2):
+        n = int(rng.integers(0, 10))
+        labels = tuple(vocab[k] for k in rng.integers(0, len(vocab), n))
+        scores = (None if rng.random() < unscored_prob else
+                  tuple(float(x) for x in rng.choice((0.25, 0.5, 0.75, 1.0), n)))
+        seqs.append(SymbolSequence(labels, scores))
+    return seqs[0], seqs[1], params
 
 
 def random_cn(rng, max_len=8, vocab=LETTERS, eps_prob=0.2):

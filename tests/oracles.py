@@ -8,7 +8,9 @@ internals beyond the public data types.  The one exception is
 that it also covers lattices too large to enumerate.  Likewise
 ``subnetwork_distance_by_loop`` takes each label pair's distance from the
 public ``normalized_char_ed`` (tested on its own): what it pins is the order
-of the sum.
+of the sum.  ``sw_alignment_by_lists`` and ``merge_by_take`` are the local
+fusion's earlier bodies, kept as written: four parallel reversed lists in
+the backtrace, and a per-position ``take`` in the merge.
 """
 
 import itertools
@@ -16,7 +18,9 @@ import math
 
 import numpy as np
 
-from latfuse import EPS, n_best_paths, normalized_char_ed
+from latfuse import (
+    EPS, AlignmentResult, SymbolSequence, n_best_paths, normalized_char_ed,
+)
 
 
 def dfs_paths(wg, log=False):
@@ -400,3 +404,117 @@ def column_argmax(cn):
         best = max(scores)
         out.append(labels[scores.index(best)])
     return tuple(out)
+
+
+def sw_alignment_by_lists(a, b, params):
+    """Smith-Waterman local alignment with the backtrace kept in four
+    parallel reversed lists (labels and indices of each side).
+
+    Same fill, end-cell and backtrace rules as ``smith_waterman``: the
+    latest maximal cell in row-major order ends the alignment, and the
+    backtrace prefers the diagonal, then the gap in ``b``.
+    """
+    xa = a.labels if isinstance(a, SymbolSequence) else tuple(a)
+    xb = b.labels if isinstance(b, SymbolSequence) else tuple(b)
+    n, m = len(xa), len(xb)
+    h = [[0.0] * (m + 1) for _ in range(n + 1)]
+    best, bi, bj = 0.0, 0, 0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            step = (
+                params.match_score
+                if xa[i - 1] == xb[j - 1]
+                else params.mismatch_penalty
+            )
+            v = max(
+                0.0,
+                h[i - 1][j - 1] + step,
+                h[i - 1][j] + params.gap_penalty,
+                h[i][j - 1] + params.gap_penalty,
+            )
+            h[i][j] = v
+            if v >= best and v > 0.0:
+                best, bi, bj = v, i, j
+    if best == 0.0:
+        return AlignmentResult((), (), 0.0, (), ())
+
+    rev_a, rev_b, ra_idx, rb_idx = [], [], [], []
+    i, j = bi, bj
+    while i > 0 and j > 0 and h[i][j] > 0.0:
+        v = h[i][j]
+        step = (
+            params.match_score if xa[i - 1] == xb[j - 1] else params.mismatch_penalty
+        )
+        if v == h[i - 1][j - 1] + step:
+            rev_a.append(xa[i - 1])
+            rev_b.append(xb[j - 1])
+            ra_idx.append(i - 1)
+            rb_idx.append(j - 1)
+            i, j = i - 1, j - 1
+        elif v == h[i - 1][j] + params.gap_penalty:
+            rev_a.append(xa[i - 1])
+            rev_b.append(None)
+            ra_idx.append(i - 1)
+            rb_idx.append(None)
+            i -= 1
+        else:
+            rev_a.append(None)
+            rev_b.append(xb[j - 1])
+            ra_idx.append(None)
+            rb_idx.append(j - 1)
+            j -= 1
+    return AlignmentResult(
+        tuple(reversed(rev_a)),
+        tuple(reversed(rev_b)),
+        best,
+        tuple(reversed(ra_idx)),
+        tuple(reversed(rb_idx)),
+    )
+
+
+def merge_by_take(seq_i, seq_a, params):
+    """Local fusion of two score-annotated sequences, one ``take`` per
+    output position.
+
+    Aligns with ``sw_alignment_by_lists``, recovers each side's aligned
+    window from its indices, and keeps: the image prefix, the audio
+    prefix, the window (agreement or a gap in audio keeps the image
+    symbol, a conflict keeps the larger score, image on ties), the image
+    suffix and the audio suffix.  An unscored side scores 1.0 everywhere.
+    """
+    res = sw_alignment_by_lists(seq_i, seq_a, params)
+    a_idx = [k for k in res.a_indices if k is not None]
+    b_idx = [k for k in res.b_indices if k is not None]
+    a_lo, a_hi = (a_idx[0], a_idx[-1] + 1) if a_idx else (0, 0)
+    b_lo, b_hi = (b_idx[0], b_idx[-1] + 1) if b_idx else (0, 0)
+
+    labels = []
+    scores = []
+
+    def take(seq, k):
+        labels.append(seq.labels[k])
+        scores.append(seq.scores[k] if seq.scores is not None else 1.0)
+
+    for k in range(a_lo):
+        take(seq_i, k)
+    for k in range(b_lo):
+        take(seq_a, k)
+    for ia, ja in zip(res.a_indices, res.b_indices):
+        if ia is None:
+            take(seq_a, ja)
+        elif ja is None:
+            take(seq_i, ia)
+        elif seq_i.labels[ia] == seq_a.labels[ja]:
+            take(seq_i, ia)
+        else:
+            si = seq_i.scores[ia] if seq_i.scores is not None else 1.0
+            sa = seq_a.scores[ja] if seq_a.scores is not None else 1.0
+            if si >= sa:
+                take(seq_i, ia)
+            else:
+                take(seq_a, ja)
+    for k in range(a_hi, len(seq_i)):
+        take(seq_i, k)
+    for k in range(b_hi, len(seq_a)):
+        take(seq_a, k)
+    return SymbolSequence(tuple(labels), tuple(scores))

@@ -19,10 +19,10 @@ from latfuse import (
 from latfuse import align as align_module
 from latfuse import simulate
 from latfuse.align import _align_to_pivot, edit_distance_matrix
-from latgen import random_cn, random_wg
+from latgen import random_cn, random_sw_case, random_wg
 from oracles import (
     dfs_paths, dtw_min_cost, pivot_rows, seq_to_lattice_by_tuples, simple_ed,
-    subnetwork_distance_by_loop, sw_best_score,
+    subnetwork_distance_by_loop, sw_alignment_by_lists, sw_best_score,
 )
 
 RNG_TOKENS = ("a", "b", "c", "d")
@@ -562,6 +562,17 @@ class TestSmithWaterman:
             if idx_b:
                 lo, hi = idx_b[0], idx_b[-1]
                 assert tuple(kept_b) == tuple(b[lo:hi + 1])
+
+    def test_matches_list_backtrace_oracle(self):
+        # the pair-list backtrace equals the four-list one field for field,
+        # zero penalties and long tie runs included
+        rng = np.random.default_rng(2024)
+        for _ in range(5000):
+            seq_a, seq_b, params = random_sw_case(rng)
+            got = smith_waterman(seq_a, seq_b, params)
+            want = sw_alignment_by_lists(seq_a, seq_b, params)
+            assert got == want
+            assert got.score.hex() == want.score.hex()
 
     def test_gap_spanning_alignment_preferred_on_ties(self):
         # "a b" scores 4 and so does "a b - d" / "a b c d"; the later cell

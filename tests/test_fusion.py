@@ -17,13 +17,16 @@ from latfuse import (
     fuse_lightly,
     lattice_hypotheses,
     mbr_decode,
+    merge_aligned_best_paths,
     merge_subnetworks,
     run_fusion,
     strip_eps,
 )
 from latfuse.fusion import PREPARE_METHOD
-from latgen import CLOSE_TOKENS, random_wg
-from oracles import dfs_paths, mbr_by_enumeration, nearest_path_by_enumeration
+from latgen import CLOSE_TOKENS, random_sw_case, random_wg
+from oracles import (
+    dfs_paths, mbr_by_enumeration, merge_by_take, nearest_path_by_enumeration,
+)
 
 
 MBR = FusionConfig(method="mbr")
@@ -326,6 +329,18 @@ class TestLocal:
         wg_a = single_path_wg(("a", "b", "c", "q"), 0.9)
         assert run_fusion(wg_i, wg_a, LOCAL).labels == (
             "p", "a", "b", "c", "q")
+
+    def test_matches_take_oracle(self):
+        # the (side, index) walk equals the per-position take: labels and
+        # scores, unscored sides and zero penalties included
+        rng = np.random.default_rng(2025)
+        for _ in range(5000):
+            seq_i, seq_a, params = random_sw_case(rng)
+            got = merge_aligned_best_paths(seq_i, seq_a, params)
+            want = merge_by_take(seq_i, seq_a, params)
+            assert got.labels == want.labels
+            assert [s.hex() for s in got.scores] == [
+                s.hex() for s in want.scores]
 
 
 class TestDispatchAndIdentity:

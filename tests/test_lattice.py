@@ -12,6 +12,7 @@ from latfuse import (
     LatticeError,
     PathCountExceededError,
     SymbolSequence,
+    Verdict,
     Vocabulary,
     WordGraph,
     best_path,
@@ -109,6 +110,49 @@ class TestValidation:
         rng = np.random.default_rng(11)
         for _ in range(40):
             assert validate_wg(random_wg(rng)).ok
+
+
+BAD_SUM = "subnetwork scores do not sum to 1"
+BAD_SCORE = "subnetwork score outside [0, 1]"
+BAD_LABEL = "bad subnetwork label"
+
+
+class TestValidateCn:
+    """Each violation of ``validate_cn`` with its offender; the first one,
+    in column then label order, wins."""
+
+    @pytest.mark.parametrize("subnetworks, violation, offender", [
+        ((), "no subnetworks", None),
+        (({"a": 1.0}, {}), "empty subnetwork", 1),
+        (({"a": 0.5}, {}), BAD_SUM, 0),
+        (({"a": 1.0}, {"": 1.0}), BAD_LABEL, (1, "")),
+        (({"a b": 1.0},), BAD_LABEL, (0, "a b")),
+        (({"a": 0.5, "b\tc": 0.5},), BAD_LABEL, (0, "b\tc")),
+        (({"a": 0.5, "b": math.nan},), BAD_SCORE, (0, "b")),
+        (({"a": 1.0}, {"b": -0.1, "c": 1.1}), BAD_SCORE, (1, "b")),
+        (({"a": 1.5},), BAD_SCORE, (0, "a")),
+        (({"a": math.inf},), BAD_SCORE, (0, "a")),
+        (({"a": 0.5, "b": 0.4},), BAD_SUM, 0),
+        (({"a": 1.0}, {"a": 0.6, "b": 0.6}), BAD_SUM, 1),
+        (({"a": 0.5, "b": 0.5 + 2 * lattice.CN_SUM_TOL},), BAD_SUM, 0),
+        (({"a": 0.5, "b": 0.5 - 2 * lattice.CN_SUM_TOL},), BAD_SUM, 0),
+    ], ids=["no-subnetworks", "empty-subnetwork", "sum-before-empty",
+            "empty-label", "space-in-label", "tab-in-label", "nan-score",
+            "negative-score", "score-above-1", "inf-score", "sum-below-1",
+            "sum-above-1", "sum-just-above-tolerance",
+            "sum-just-below-tolerance"])
+    def test_violation_and_offender(self, subnetworks, violation, offender):
+        verdict = validate_cn(ConfusionNetwork(subnetworks))
+        assert verdict == Verdict(False, violation, offender)
+        assert not verdict
+
+    @pytest.mark.parametrize("subnetworks", [
+        ({"a": 1.0},),
+        ({"a": 0.0, "b": 1.0}, {EPS: 1.0}),
+        ({"a": 0.5, "b": 0.5 + 0.5 * lattice.CN_SUM_TOL},),
+    ], ids=["one-label", "zero-score-and-eps", "sum-inside-tolerance"])
+    def test_valid(self, subnetworks):
+        assert validate_cn(ConfusionNetwork(subnetworks)) == Verdict(True)
 
 
 VALID_FIELDS = dict(

@@ -239,6 +239,19 @@ class TestScenarioRun:
                 )
                 assert rep.cells[(m, a)] == 100.0 * errors / total
 
+    # an empty grid used to fail in min(); a repeated alpha doubled its
+    # per-trial vectors, so every Wilcoxon test read SKIPPED
+    @pytest.mark.parametrize("alpha_grid, message", [
+        ((), "^alpha grid must be non-empty, without repeats$"),
+        ((0.5, 0.5), "^alpha grid must be non-empty, without repeats$"),
+        ((0.2, 0.8, 0.2), "^alpha grid must be non-empty, without repeats$"),
+        ((0.0, 0.5), r"^alpha grid values must lie in \(0, 1\)$"),
+    ], ids=["empty", "repeated", "repeated-apart", "out-of-range"])
+    def test_rejects_bad_alpha_grid(self, alpha_grid, message):
+        with pytest.raises(ValueError, match=message):
+            run_scenario(small_spec(trials=2), 1, noise_rates=(0.3, 0.3),
+                         alpha_grid=alpha_grid)
+
     def test_report_text_deterministic(self):
         spec = small_spec(trials=2)
         a = format_report(run_scenario(spec, 4, noise_rates=(0.2, 0.05)))
