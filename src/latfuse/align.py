@@ -16,6 +16,8 @@ import numpy as np
 
 from .lattice import EPS, SymbolSequence, WordGraph, topological_order
 
+_FULL = (1 << 64) - 1  # every bit of a uint64 word
+
 
 def _myers_block(eq, pv, mv, hp_in, hm_in, full, top):
     """One text token through one block of Myers' bit-vector Levenshtein.
@@ -133,27 +135,102 @@ def edit_distance_matrix(cands, refs) -> np.ndarray:
     differs[1:, 1:] = np.logical_or.accumulate(cmat[1:] != cmat[:-1], axis=1)
     new = differs & (clens[:, None] >= np.arange(cmat.shape[1] + 1))
     prefix = np.cumsum(new, axis=0) - 1
-    full = (1 << 64) - 1
-    pv = [np.full((1, len(ref_seqs)), full, dtype=np.uint64)] * len(peq)
+    pv = [np.full((1, len(ref_seqs)), _FULL, dtype=np.uint64)] * len(peq)
     mv = [np.zeros((1, len(ref_seqs)), dtype=np.uint64)] * len(peq)
     out = np.zeros((len(cand_seqs), len(ref_seqs)), dtype=np.int64)
     for i in range(cmat.shape[1] + 1):
         if i:
             heads = np.flatnonzero(new[:, i])
             parent = prefix[heads, i - 1]
-            hp, hm = 1, 0  # the empty ref prefix costs one more per token
-            for w, eq in enumerate(peq[:, cmat[heads, i - 1]]):
-                pv[w], mv[w], hp, hm = _myers_block(
-                    eq, pv[w][parent], mv[w][parent], hp, hm, full, 63
-                )
+            pv, mv = _advance_words(peq[:, cmat[heads, i - 1]],
+                                    [p[parent] for p in pv],
+                                    [m[parent] for m in mv])
         done = np.flatnonzero(clens == i)
         if done.size:
             rows = prefix[done, i]
-            out[order[done]] = i + sum(
-                np.bitwise_count(p[rows] & v).astype(np.int64)
-                - np.bitwise_count(m[rows] & v)
-                for p, m, v in zip(pv, mv, valid)
-            )
+            out[order[done]] = _read_out(
+                i, [p[rows] for p in pv], [m[rows] for m in mv], valid)
+    return out
+
+
+def _advance_words(eqs, pvs, mvs):
+    """One text token through a pattern held in 64-bit words, low word first.
+
+    ``eqs``, ``pvs`` and ``mvs`` hold one array per word; each word passes
+    the horizontal delta leaving its top bit to the next word.  Returns the
+    new ``(pvs, mvs)`` lists.
+    """
+    hp, hm = 1, 0  # the empty pattern prefix costs one more per token
+    new_pv, new_mv = [], []
+    for eq, pv, mv in zip(eqs, pvs, mvs):
+        pv, mv, hp, hm = _myers_block(eq, pv, mv, hp, hm, _FULL, 63)
+        new_pv.append(pv)
+        new_mv.append(mv)
+    return new_pv, new_mv
+
+
+def _read_out(steps, pvs, mvs, valid):
+    """Distances after ``steps`` text tokens: the last DP column's bottom
+    cell, ``steps`` plus the vertical deltas at the pattern's real bits
+    (``valid``, one mask per word)."""
+    return steps + sum(
+        np.bitwise_count(p & v).astype(np.int64) - np.bitwise_count(m & v)
+        for p, m, v in zip(pvs, mvs, valid)
+    )
+
+
+def _pair_masks(patterns, texts) -> np.ndarray:
+    """Pattern-equality words of every text token against its own pattern.
+
+    ``patterns`` is an ``(n, L)`` id matrix and ``texts`` holds pair k's
+    text ids in row k, in any trailing shape; -1 pads both.  Returns uint64
+    ``(W, n, ...)``, ``W = max(1, ceil(L / 64))``: bit ``j % 64`` of word
+    ``j // 64`` is set where the text token equals pattern position j.
+    Padding may set bits at or beyond a pattern's length, which
+    ``_paired_distances`` never reads.  One pattern position at a time, so
+    each temporary is the size of ``texts``, whatever the vocabulary.
+    """
+    n, length = patterns.shape
+    eq = np.zeros((max(1, -(-length // 64)), *texts.shape), dtype=np.uint64)
+    column = (n,) + (1,) * (texts.ndim - 1)
+    for j in range(length):
+        word = eq[j // 64]
+        np.bitwise_or(word, np.uint64(1 << (j % 64)), out=word,
+                      where=texts == patterns[:, j].reshape(column))
+    return eq
+
+
+def _paired_distances(eq, text_lens, pattern_lens) -> np.ndarray:
+    """Levenshtein distance of each (text k, pattern k) pair, as int64.
+
+    ``eq`` is ``_pair_masks``'s ``(W, n, T)`` output: ``eq[:, k, i]`` holds
+    text k's token i against pattern k.  Column k of the bit vectors is pair
+    k, advanced by its own text only.  The columns are sorted by text
+    length, longest first, so step i advances the first ``count(len > i)``
+    of them, and a column's distance is read when its text ends.  Patterns
+    longer than 63 tokens span several words, with ``edit_distance_matrix``'s
+    word carry.
+    """
+    order = np.argsort(-text_lens, kind="stable")
+    lens = text_lens[order]
+    eq = eq[:, order]
+    bits = np.clip(pattern_lens[order] - 64 * np.arange(len(eq))[:, None], 0, 64)
+    # (1 << bits) - 1 per word; a uint64 shifts by at most 63
+    low = np.uint64(1) << np.minimum(bits, 63).astype(np.uint64)
+    valid = np.where(bits == 64, np.uint64(_FULL), low - np.uint64(1))
+    pv = [np.full(len(order), _FULL, dtype=np.uint64)] * len(eq)
+    mv = [np.zeros(len(order), dtype=np.uint64)] * len(eq)
+    out = np.empty(len(order), dtype=np.int64)
+    live = len(order)
+    for i in range(int(lens.max(initial=0)) + 1):
+        c = int(np.count_nonzero(lens > i))
+        if c < live:
+            out[order[c:live]] = _read_out(
+                i, [p[c:] for p in pv], [m[c:] for m in mv], valid[:, c:live])
+            pv, mv = [p[:c] for p in pv], [m[:c] for m in mv]
+            live = c
+        if c:
+            pv, mv = _advance_words(eq[:, :c, i], pv, mv)
     return out
 
 

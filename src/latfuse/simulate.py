@@ -18,10 +18,11 @@ import functools
 import numbers
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .align import edit_distance
+from .align import _pair_masks, _paired_distances, edit_distance
 from .fusion import METHODS, PREPARE_METHOD, FusionConfig
 from .lattice import Edge, SymbolSequence, Vocabulary, WordGraph, best_path
 from .metrics import result_line, wilcoxon_signed_rank
@@ -56,6 +57,12 @@ _TRUTH_IN_LATTICE_PROB = 0.9
 # neighborhoods across modalities are what let one modality's errors surface
 # in the other's lattice, as real recognizer confusions do.
 _CONFUSION_WIDTH = 2
+_NEIGHBOR_OFFSETS = tuple(
+    off for off in range(-_CONFUSION_WIDTH, _CONFUSION_WIDTH + 1) if off != 0)
+_NEIGHBOR_STEPS = np.array(_NEIGHBOR_OFFSETS)
+
+# Upper bound (exclusive) of the substitution and insertion picks.
+_INT64_MAX = np.iinfo(np.int64).max
 
 # Stream tags so calibration and trial RNG streams never collide.
 _CAL_STREAM = 0xCA11B
@@ -116,67 +123,131 @@ def _draw_corruption(n: int, rng) -> dict:
         "u_err": rng.random(n),
         "u_type": rng.random(n),
         "u_truth": rng.random(n),
-        "sub_pick": rng.integers(0, np.iinfo(np.int64).max, n),
-        "ins_pick": rng.integers(0, np.iinfo(np.int64).max, n),
+        "sub_pick": rng.integers(0, _INT64_MAX, n),
+        "ins_pick": rng.integers(0, _INT64_MAX, n),
     }
 
 
 def _neighborhood(index: int, size: int) -> list:
     """Confusable vocabulary indices around ``index`` (itself excluded)."""
-    return [
-        (index + off) % size
-        for off in range(-_CONFUSION_WIDTH, _CONFUSION_WIDTH + 1)
-        if off != 0
-    ]
+    return [(index + off) % size for off in _NEIGHBOR_OFFSETS]
 
 
-def _corrupt(truth: tuple, rate: float, draws: dict, vocab: Vocabulary) -> list:
-    """Corrupt a label tuple into spine items (label, truth_hint, is_error).
+class _Outcomes(NamedTuple):
+    """What corruption does to each truth position of a batch, at any rate.
 
-    ``truth_hint`` is the ground-truth label underlying the position (None
-    for pure insertions); deleted truth labels simply vanish.  Substitutions
-    pick a confusable neighbor of the true token.  The spine is never left
-    empty: a deletion that would empty it is skipped.
+    Position t of row k has two spine slots, in spine order: slot 0 holds
+    the error label (a substitute, or a token inserted before the truth;
+    never emitted for a deletion) and slot 1 the truth label.  ``on_error``
+    and ``clean`` say which slots a position emits when it is corrupted
+    (``u_err < rate``) and when it is not.  Ids are vocabulary indices, and
+    -1 pads rows to the longest truth.
     """
-    tokens, index = vocab.tokens, vocab._index
-    spine = []
-    for i, lab in enumerate(truth):
-        if draws["u_err"][i] < rate:
-            kind = draws["u_type"][i]
-            if kind < _P_SUB:
-                neigh = _neighborhood(index[lab], len(tokens))
-                j = neigh[draws["sub_pick"][i] % len(neigh)]
-                spine.append((tokens[j], lab, True))
-            elif kind < _P_SUB + _P_DEL:
-                if i == len(truth) - 1 and not spine:
-                    spine.append((lab, lab, False))
-                continue
-            else:
-                j = draws["ins_pick"][i] % len(tokens)
-                spine.append((tokens[j], None, True))
-                spine.append((lab, lab, False))
-        else:
-            spine.append((lab, lab, False))
-    return spine
+
+    truths: np.ndarray  # (n, L) truth ids
+    lens: np.ndarray  # (n,) truth lengths
+    u_err: np.ndarray  # (n, L); inf at padding, so padding is never corrupted
+    labels: np.ndarray  # (n, L, 2) slot label ids
+    hints: np.ndarray  # (n, L, 2) truth under each slot; -1 for an insertion
+    on_error: np.ndarray  # (n, L, 2) bool
+    clean: np.ndarray  # (n, L, 2) bool
 
 
-def _wrap_sausage(spine: list, rng, vocab: Vocabulary) -> WordGraph:
+def _slots(first, second) -> np.ndarray:
+    """Two ``(n, L)`` arrays side by side as an ``(n, L, 2)`` slot array."""
+    out = np.empty((*first.shape, 2), dtype=first.dtype)
+    out[..., 0] = first
+    out[..., 1] = second
+    return out
+
+
+def _outcomes(truths: list, draws: list, size: int) -> _Outcomes:
+    """The rate-independent half of the corruption rule, over a batch.
+
+    ``truths`` holds id arrays and ``draws`` their ``_draw_corruption``
+    dicts.  A corrupted position is substituted when ``u_type < _P_SUB``
+    (by the neighbor ``sub_pick`` selects), deleted when ``u_type <
+    _P_SUB + _P_DEL``, and otherwise keeps its label after the token
+    ``ins_pick`` selects from the whole vocabulary.
+    """
+    lens = np.fromiter(map(len, truths), dtype=np.int64, count=len(truths))
+    real = np.arange(lens.max(initial=0)) < lens[:, None]
+
+    def pad(flat, fill):
+        mat = np.full(real.shape, fill, dtype=flat.dtype)
+        mat[real] = flat
+        return mat
+
+    def draw(key):
+        return np.concatenate([d[key] for d in draws])
+
+    truth = np.concatenate(truths)
+    u_type = draw("u_type")
+    is_sub = u_type < _P_SUB
+    is_ins = u_type >= _P_SUB + _P_DEL
+    steps = _NEIGHBOR_STEPS[draw("sub_pick") % len(_NEIGHBOR_STEPS)]
+    alt = np.where(is_sub, (truth + steps) % size, draw("ins_pick") % size)
+    truth, alt, is_sub, is_ins = (pad(truth, -1), pad(alt, -1),
+                                  pad(is_sub, False), pad(is_ins, False))
+    return _Outcomes(
+        truth, lens, pad(draw("u_err"), np.inf),
+        labels=_slots(alt, truth),
+        hints=_slots(np.where(is_sub, truth, -1), truth),
+        on_error=_slots(is_sub | is_ins, is_ins),
+        clean=_slots(np.zeros_like(real), real),
+    )
+
+
+def _spines(out: _Outcomes, rate: float) -> tuple:
+    """The rate-dependent half: which slots each row's spine keeps.
+
+    Returns ``(emit, lens)``: ``emit`` is an ``(n, 2L)`` bool mask over the
+    slots in spine order, and ``lens`` the spine lengths.  A spine is never
+    empty: a row whose every position is deleted keeps its truth's last
+    label, as a correct position.
+    """
+    n = len(out.lens)
+    emit = np.where((out.u_err < rate)[..., None], out.on_error,
+                    out.clean).reshape(n, -1)
+    lens = np.count_nonzero(emit, axis=1)
+    empty = np.flatnonzero(lens == 0)
+    emit[empty, 2 * out.lens[empty] - 1] = True
+    lens[empty] = 1
+    return emit, lens
+
+
+def _spine_rows(out: _Outcomes, rate: float) -> list:
+    """Each row's spine at ``rate`` as ``(label ids, hint ids, error
+    flags)`` lists, ``_wrap_sausage``'s input."""
+    emit, lens = _spines(out, rate)
+    n = len(out.lens)
+    rows = np.nonzero(emit)
+    fields = (out.labels.reshape(n, -1)[rows].tolist(),
+              out.hints.reshape(n, -1)[rows].tolist(),
+              (rows[1] % 2 == 0).tolist())  # slot 0 is the error slot
+    ends = np.cumsum(lens).tolist()
+    return [tuple(f[e - k:e] for f in fields) for k, e in zip(lens.tolist(), ends)]
+
+
+def _wrap_sausage(spine: tuple, rng, vocab: Vocabulary) -> WordGraph:
     """Wrap spine positions in scored alternative sets, one sausage segment each.
 
-    Alternatives beyond the spine label (and the optionally injected true
-    label) come from the spine label's confusion neighborhood.
+    ``spine`` is ``(label ids, truth-hint ids, error flags)``, a hint of -1
+    marking an insertion.  Alternatives beyond the spine label (and the
+    optionally injected true label) come from the spine label's confusion
+    neighborhood.
     """
-    tokens, index = vocab.tokens, vocab._index
+    tokens = vocab.tokens
     edges = []
-    for t, (lab, hint, is_err) in enumerate(spine):
-        alts = [lab]
+    for t, (lab, hint, is_err) in enumerate(zip(*spine)):
+        alts = [tokens[lab]]
         if (
-            hint is not None
+            hint >= 0
             and hint != lab
             and rng.random() < _TRUTH_IN_LATTICE_PROB
         ):
-            alts.append(hint)
-        neigh = _neighborhood(index[lab], len(tokens))
+            alts.append(tokens[hint])
+        neigh = _neighborhood(lab, len(tokens))
         while len(alts) < _BRANCHING:
             cand = tokens[neigh[rng.integers(0, len(neigh))]]
             if cand not in alts:
@@ -192,7 +263,8 @@ def _wrap_sausage(spine: list, rng, vocab: Vocabulary) -> WordGraph:
         weights = np.sort(weights)[::-1]
         for a, w in zip(alts, weights):
             edges.append(Edge(t, t + 1, a, float(min(w, 1.0))))
-    return WordGraph(len(spine) + 1, 0, frozenset({len(spine)}), tuple(edges))
+    n = len(spine[0])
+    return WordGraph(n + 1, 0, frozenset({n}), tuple(edges))
 
 
 def generate_wg_pair(
@@ -208,39 +280,76 @@ def generate_wg_pair(
     if not (0.0 <= noise_i < 1.0 and 0.0 <= noise_a < 1.0):
         raise ValueError("noise rates must be in [0, 1)")
     vocab = default_vocabulary(spec.vocab_size)
+    ids = [vocab._index.get(lab) for lab in truth.labels]
+    if None in ids:
+        lab = truth.labels[ids.index(None)]
+        raise ValueError(f"truth label {lab!r} is not in the spec's vocabulary")
+    ids = np.array(ids, dtype=np.int64)
     out = []
     for rate in (noise_i, noise_a):
-        draws = _draw_corruption(len(truth.labels), rng)
-        spine = _corrupt(truth.labels, rate, draws, vocab)
+        draws = _draw_corruption(len(ids), rng)
+        (spine,) = _spine_rows(_outcomes([ids], [draws], len(vocab)), rate)
         out.append(_wrap_sausage(spine, rng, vocab))
     return out[0], out[1]
 
 
-def _draw_truth(spec: ScenarioSpec, rng) -> tuple:
-    """A truth label tuple: its length, then its token indices, from ``rng``."""
-    vocab = default_vocabulary(spec.vocab_size)
+def _draw_truth(spec: ScenarioSpec, rng) -> np.ndarray:
+    """Truth vocabulary ids: the length, then the ids, from ``rng``."""
     lo, hi = spec.sequence_length_range
     n = int(rng.integers(lo, hi + 1))
-    return tuple(vocab.tokens[i] for i in rng.integers(0, len(vocab), n))
+    return rng.integers(0, spec.vocab_size, n)
 
 
-def _calibration_corpus(spec: ScenarioSpec, rng) -> list:
-    """Fixed truths plus frozen corruption draws for rate bisection."""
-    corpus = []
+def _calibration_corpus(spec: ScenarioSpec, rng) -> _Outcomes:
+    """Fixed truths plus frozen corruption draws for rate bisection, as the
+    outcomes of each position at any rate."""
+    truths, draws = [], []
     for _ in range(CALIBRATION_CORPUS_SIZE):
-        truth = _draw_truth(spec, rng)
-        corpus.append((truth, _draw_corruption(len(truth), rng)))
-    return corpus
+        truths.append(_draw_truth(spec, rng))
+        draws.append(_draw_corruption(len(truths[-1]), rng))
+    return _outcomes(truths, draws, spec.vocab_size)
 
 
-def _corpus_spine_ser(corpus: list, rate: float, vocab: Vocabulary) -> float:
-    num = 0
-    den = 0
-    for truth, draws in corpus:
-        spine = [lab for lab, _, _ in _corrupt(truth, rate, draws, vocab)]
-        num += edit_distance(spine, truth)
-        den += len(truth)
-    return 100.0 * num / den
+def _spine_ser(corpus: _Outcomes):
+    """The pooled spine SER of ``corpus`` in percent, as a function of the
+    rate: every spine against its truth in one paired Myers pass.
+
+    The truths' equality masks are built once for both slots of every
+    position; a rate then only selects and packs the kept slots.
+    """
+    n = len(corpus.lens)
+    masks = _pair_masks(corpus.truths, corpus.labels)
+    masks = masks.reshape(len(masks), n, -1)  # (words, rows, slots in order)
+    den = int(corpus.lens.sum())
+
+    def ser(rate: float) -> float:
+        emit, lens = _spines(corpus, rate)
+        eq = np.zeros((len(masks), n, lens.max(initial=0)), dtype=np.uint64)
+        eq[:, np.arange(eq.shape[2]) < lens[:, None]] = masks[:, emit]
+        return 100.0 * int(_paired_distances(eq, lens, corpus.lens).sum()) / den
+
+    return ser
+
+
+def _bisect_rate(target: float, ser) -> float:
+    """Bisect the rate in [0, 0.95] until ``ser(rate)`` is within
+    ``CALIBRATION_TOLERANCE`` of ``target``, or for at most
+    ``CALIBRATION_MAX_ITERS`` steps; returns the best rate found."""
+    lo, hi = 0.0, 0.95
+    best_rate, best_err = 0.0, abs(target)
+    for _ in range(CALIBRATION_MAX_ITERS):
+        mid = (lo + hi) / 2.0
+        measured = ser(mid)
+        err = abs(measured - target)
+        if err < best_err:
+            best_rate, best_err = mid, err
+        if err <= CALIBRATION_TOLERANCE:
+            break
+        if measured < target:
+            lo = mid
+        else:
+            hi = mid
+    return best_rate
 
 
 def calibrate_noise(target: float, spec: ScenarioSpec, rng) -> float:
@@ -255,23 +364,7 @@ def calibrate_noise(target: float, spec: ScenarioSpec, rng) -> float:
         raise ValueError("target SER must be in [0, 100)")
     if target == 0.0:
         return 0.0
-    vocab = default_vocabulary(spec.vocab_size)
-    corpus = _calibration_corpus(spec, rng)
-    lo, hi = 0.0, 0.95
-    best_rate, best_err = 0.0, abs(target)
-    for _ in range(CALIBRATION_MAX_ITERS):
-        mid = (lo + hi) / 2.0
-        measured = _corpus_spine_ser(corpus, mid, vocab)
-        err = abs(measured - target)
-        if err < best_err:
-            best_rate, best_err = mid, err
-        if err <= CALIBRATION_TOLERANCE:
-            break
-        if measured < target:
-            lo = mid
-        else:
-            hi = mid
-    return best_rate
+    return _bisect_rate(target, _spine_ser(_calibration_corpus(spec, rng)))
 
 
 def alpha_grid_from_step(step: float) -> tuple:
@@ -328,7 +421,8 @@ def _trial_sample(
 ):
     """Deterministic (truth, image WG, audio WG) for one trial counter."""
     rng = _trial_rng(spec.seed, scenario_id, trial)
-    truth = SymbolSequence(_draw_truth(spec, rng))
+    tokens = default_vocabulary(spec.vocab_size).tokens
+    truth = SymbolSequence(tuple(tokens[i] for i in _draw_truth(spec, rng)))
     wg_i, wg_a = generate_wg_pair(truth, noise_i, noise_a, spec, rng)
     return truth, wg_i, wg_a
 
@@ -419,31 +513,35 @@ def _cal_rng(spec: ScenarioSpec, level: str, *tail: int):
     )
 
 
+def _level_target(level: str) -> float:
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, not {level!r}")
+    return LEVEL_TARGET_SER[level]
+
+
 def calibrated_rate(spec: ScenarioSpec, level: str) -> float:
     """Noise rate for a difficulty level, from its own deterministic stream."""
-    return calibrate_noise(LEVEL_TARGET_SER[level], spec, _cal_rng(spec, level))
+    return calibrate_noise(_level_target(level), spec, _cal_rng(spec, level))
 
 
 def measure_calibrated_level(spec: ScenarioSpec, level: str) -> tuple:
     """Calibrate a level, then decode its 500-sequence corpus end to end.
 
-    Rebuilds the exact corpus the calibration bisected over, wraps every
+    Bisects over the level's corpus as ``calibrated_rate`` does, wraps every
     corrupted spine in a full sausage lattice, best-path decodes it, and
     pools the SER.  Returns (rate, measured SER); deterministic per seed.
     """
-    rate = calibrated_rate(spec, level)
+    target = _level_target(level)
     corpus = _calibration_corpus(spec, _cal_rng(spec, level))
+    rate = _bisect_rate(target, _spine_ser(corpus))
     wrap_rng = _cal_rng(spec, level, 1)
     vocab = default_vocabulary(spec.vocab_size)
     num = 0
-    den = 0
-    for truth, draws in corpus:
-        spine = _corrupt(truth, rate, draws, vocab)
-        wg = _wrap_sausage(spine, wrap_rng, vocab)
-        hyp, _ = best_path(wg)
-        num += edit_distance(hyp.labels, truth)
-        den += len(truth)
-    return rate, 100.0 * num / den
+    for truth, n, spine in zip(corpus.truths.tolist(), corpus.lens.tolist(),
+                               _spine_rows(corpus, rate)):
+        hyp, _ = best_path(_wrap_sausage(spine, wrap_rng, vocab))
+        num += edit_distance(hyp.labels, [vocab.tokens[i] for i in truth[:n]])
+    return rate, 100.0 * num / int(corpus.lens.sum())
 
 
 def run_scenario_grid(specs, alpha_grid=DEFAULT_ALPHA_GRID) -> list:

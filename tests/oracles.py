@@ -11,6 +11,11 @@ public ``normalized_char_ed`` (tested on its own): what it pins is the order
 of the sum.  ``sw_alignment_by_lists`` and ``merge_by_take`` are the local
 fusion's earlier bodies, kept as written: four parallel reversed lists in
 the backtrace, and a per-position ``take`` in the merge.
+``corrupt_by_loop`` and ``corpus_spine_ser_by_loop`` are the simulator's
+earlier corruption loop and calibration scorer, one position and one
+``edit_distance`` call at a time; they read the rule's constants from
+``latfuse.simulate``, so what they pin is the rule, and
+``calibration_corpus_by_loop`` pins the corpus's RNG call order.
 """
 
 import itertools
@@ -19,7 +24,11 @@ import math
 import numpy as np
 
 from latfuse import (
-    EPS, AlignmentResult, SymbolSequence, n_best_paths, normalized_char_ed,
+    EPS, AlignmentResult, SymbolSequence, default_vocabulary, edit_distance,
+    n_best_paths, normalized_char_ed,
+)
+from latfuse.simulate import (
+    _CONFUSION_WIDTH, _P_DEL, _P_SUB, CALIBRATION_CORPUS_SIZE,
 )
 
 
@@ -518,3 +527,69 @@ def merge_by_take(seq_i, seq_a, params):
     for k in range(b_hi, len(seq_a)):
         take(seq_a, k)
     return SymbolSequence(tuple(labels), tuple(scores))
+
+
+def corrupt_by_loop(truth, rate, draws, vocab):
+    """Corrupt a label tuple into spine items (label, truth_hint, is_error).
+
+    ``truth_hint`` is the ground-truth label underlying the position (None
+    for pure insertions); deleted truth labels simply vanish.  Substitutions
+    pick a confusable neighbor of the true token.  The spine is never left
+    empty: a deletion that would empty it is skipped.
+    """
+    tokens, index = vocab.tokens, vocab._index
+    spine = []
+    for i, lab in enumerate(truth):
+        if draws["u_err"][i] < rate:
+            kind = draws["u_type"][i]
+            if kind < _P_SUB:
+                neigh = [
+                    (index[lab] + off) % len(tokens)
+                    for off in range(-_CONFUSION_WIDTH, _CONFUSION_WIDTH + 1)
+                    if off != 0
+                ]
+                j = neigh[draws["sub_pick"][i] % len(neigh)]
+                spine.append((tokens[j], lab, True))
+            elif kind < _P_SUB + _P_DEL:
+                if i == len(truth) - 1 and not spine:
+                    spine.append((lab, lab, False))
+                continue
+            else:
+                j = draws["ins_pick"][i] % len(tokens)
+                spine.append((tokens[j], None, True))
+                spine.append((lab, lab, False))
+        else:
+            spine.append((lab, lab, False))
+    return spine
+
+
+def calibration_corpus_by_loop(spec, rng):
+    """The calibration corpus as (truth label tuple, draws) pairs, each
+    drawn as the length, the token ids, then the five corruption draws."""
+    vocab = default_vocabulary(spec.vocab_size)
+    lo, hi = spec.sequence_length_range
+    top = np.iinfo(np.int64).max
+    corpus = []
+    for _ in range(CALIBRATION_CORPUS_SIZE):
+        n = int(rng.integers(lo, hi + 1))
+        truth = tuple(vocab.tokens[i] for i in rng.integers(0, len(vocab), n))
+        draws = {
+            "u_err": rng.random(n),
+            "u_type": rng.random(n),
+            "u_truth": rng.random(n),
+            "sub_pick": rng.integers(0, top, n),
+            "ins_pick": rng.integers(0, top, n),
+        }
+        corpus.append((truth, draws))
+    return corpus
+
+
+def corpus_spine_ser_by_loop(corpus, rate, vocab):
+    """Pooled SER (percent) of the corrupted spines against their truths."""
+    num = 0
+    den = 0
+    for truth, draws in corpus:
+        spine = [lab for lab, _, _ in corrupt_by_loop(truth, rate, draws, vocab)]
+        num += edit_distance(spine, truth)
+        den += len(truth)
+    return 100.0 * num / den

@@ -18,7 +18,9 @@ from latfuse import (
 )
 from latfuse import align as align_module
 from latfuse import simulate
-from latfuse.align import _align_to_pivot, edit_distance_matrix
+from latfuse.align import (
+    _align_to_pivot, _encode, _pair_masks, _paired_distances, edit_distance_matrix,
+)
 from latgen import random_cn, random_sw_case, random_wg
 from oracles import (
     dfs_paths, dtw_min_cost, pivot_rows, seq_to_lattice_by_tuples, simple_ed,
@@ -134,6 +136,78 @@ class TestEditDistanceWordBoundaries:
         for i, a in enumerate(seqs):
             for j, b in enumerate(seqs):
                 assert got[i, j] == edit_distance(a, b) == simple_ed(a, b)
+
+
+def paired_distances(texts, patterns):
+    """``_paired_distances`` of label sequences, text k against pattern k."""
+    ids = {}
+    pmat, tmat = _encode(patterns, ids), _encode(texts, ids)
+    lens = lambda seqs: np.array([len(s) for s in seqs], dtype=np.int64)
+    return _paired_distances(_pair_masks(pmat, tmat), lens(texts),
+                             lens(patterns)).tolist()
+
+
+def mutate(rng, seq, alphabet, edits):
+    """``seq`` after ``edits`` random substitutions, insertions and
+    deletions, so that a pair can be close as well as far apart."""
+    out = list(seq)
+    for _ in range(edits):
+        k = int(rng.integers(0, len(out) + 1))
+        op = rng.integers(0, 3)
+        if op == 0 and k < len(out):
+            out[k] = str(rng.choice(alphabet))
+        elif op == 1:
+            out.insert(k, str(rng.choice(alphabet)))
+        elif out:
+            del out[min(k, len(out) - 1)]
+    return tuple(out)
+
+
+class TestPairedDistances:
+    # truth (pattern) lengths at the 64-bit word boundaries of the driver
+    PATTERN_LENGTHS = (0, 1, 63, 64, 65, 130)
+
+    @pytest.mark.parametrize("length", PATTERN_LENGTHS)
+    def test_matches_edit_distance(self, length):
+        rng = np.random.default_rng(1900 + length)
+        texts, patterns = [], []
+        for _ in range(60):
+            alphabet = RNG_TOKENS[: int(rng.integers(1, 4))]
+            pattern = tuple(rng.choice(alphabet, size=length))
+            if rng.random() < 0.5:
+                text = mutate(rng, pattern, alphabet, int(rng.integers(0, 12)))
+            else:
+                text = tuple(rng.choice(alphabet, size=rng.integers(0, 141)))
+            texts.append(text)
+            patterns.append(pattern)
+        want = [edit_distance(t, p) for t, p in zip(texts, patterns)]
+        assert paired_distances(texts, patterns) == want
+
+    def test_mixed_lengths_in_one_batch(self):
+        # columns of 1-3 words side by side, ending at different steps
+        rng = np.random.default_rng(1907)
+        for _ in range(10):
+            texts, patterns = [], []
+            for _ in range(int(rng.integers(1, 40))):
+                alphabet = RNG_TOKENS[: int(rng.integers(1, 5))]
+                pattern = tuple(rng.choice(
+                    alphabet, size=rng.choice(self.PATTERN_LENGTHS)))
+                texts.append(mutate(rng, pattern, alphabet,
+                                    int(rng.integers(0, 30))))
+                patterns.append(pattern)
+            assert paired_distances(texts, patterns) == [
+                edit_distance(t, p) for t, p in zip(texts, patterns)]
+
+    def test_empty_batch(self):
+        assert paired_distances([], []) == []
+
+    def test_masks_in_trailing_shape(self):
+        # a text laid out as (n, L, 2) slots packs as its flat row would
+        patterns = np.array([[0, 1, 2, -1], [2, 2, -1, -1]])
+        slots = np.array([[[2, 0], [1, 5]], [[2, 3], [0, 2]]])
+        eq = _pair_masks(patterns, slots)
+        assert eq.shape == (1, 2, 2, 2)
+        assert eq[0].tolist() == [[[4, 1], [2, 0]], [[3, 0], [0, 3]]]
 
 
 def prefix_family(rng, count, alphabet=RNG_TOKENS[:3], max_len=40):

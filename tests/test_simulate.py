@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from latfuse import (
+    LEVELS,
     METHODS,
     FusionConfig,
     LEVEL_TARGET_SER,
@@ -21,12 +23,19 @@ from latfuse import (
     run_fusion,
     validate_wg,
 )
+from oracles import (
+    calibration_corpus_by_loop, corpus_spine_ser_by_loop, corrupt_by_loop,
+)
 from latfuse.simulate import (
     _calibration_corpus,
-    _corpus_spine_ser,
+    _draw_corruption,
+    _outcomes,
+    _spine_rows,
+    _spine_ser,
     _trial_sample,
     alpha_grid_from_step,
     calibrated_rate,
+    measure_calibrated_level,
     format_report,
     grid_specs,
     run_scenario,
@@ -146,9 +155,8 @@ class TestCalibration:
     def test_hits_target_on_calibration_corpus(self):
         spec = small_spec()
         rate = calibrate_noise(27.0, spec, fresh_rng(5))
-        vocab = default_vocabulary(spec.vocab_size)
         corpus = _calibration_corpus(spec, fresh_rng(5))
-        measured = _corpus_spine_ser(corpus, rate, vocab)
+        measured = _spine_ser(corpus)(rate)
         assert abs(measured - 27.0) <= 0.5
 
     def test_monotone_rates(self):
@@ -160,6 +168,103 @@ class TestCalibration:
     def test_deterministic(self):
         spec = small_spec()
         assert calibrated_rate(spec, "Medium") == calibrated_rate(spec, "Medium")
+
+    @pytest.mark.parametrize("call", [calibrated_rate, measure_calibrated_level])
+    @pytest.mark.parametrize("level", ["high", "x", ""])
+    def test_unknown_level(self, call, level):
+        with pytest.raises(ValueError, match="level must be one of") as exc:
+            call(small_spec(), level)
+        assert str(LEVELS) in str(exc.value)
+
+    @pytest.mark.parametrize("vocab_size", [100, 50_000])
+    def test_traced_peak_memory(self, vocab_size):
+        # the corpus is scored one truth position at a time: no temporary
+        # scales with the vocabulary or with the square of the truth length
+        spec = ScenarioSpec("High", "High", seed=7, vocab_size=vocab_size)
+        default_vocabulary(vocab_size)
+        tracemalloc.start()
+        try:
+            calibrated_rate(spec, "High")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestBatchedCorruption:
+    """The vectorized corruption rule and the batched corpus SER against
+    the earlier per-position loop and per-pair scorer."""
+
+    RATES = (0.0, 0.07, 0.3, 0.95, 0.999)
+
+    @pytest.mark.parametrize("lengths, vocab_size, seed", [
+        ((60, 130), 100, 0),  # truths of more than one 64-bit word
+        ((1, 1), 5, 1),  # every corrupted row a deletion or a single slot
+        ((1, 3), 7, 2),
+        ((10, 30), 5, 3),
+        ((10, 30), 50_000, 4),
+        ((1, 70), 100, 5),
+    ])
+    def test_corpus_ser_matches_loop_oracle(self, lengths, vocab_size, seed):
+        spec = small_spec(sequence_length_range=lengths, vocab_size=vocab_size)
+        vocab = default_vocabulary(vocab_size)
+        corpus = _calibration_corpus(spec, fresh_rng(seed))
+        oracle = calibration_corpus_by_loop(spec, fresh_rng(seed))
+        assert [
+            tuple(vocab.tokens[i] for i in row[:n])
+            for row, n in zip(corpus.truths.tolist(), corpus.lens.tolist())
+        ] == [truth for truth, _ in oracle]
+        ser = _spine_ser(corpus)
+        for rate in self.RATES:
+            want = corpus_spine_ser_by_loop(oracle, rate, vocab)
+            assert ser(rate).hex() == want.hex(), rate
+
+    def test_spine_rows_match_loop_oracle(self):
+        # 5,000 truths in batches of 1 to 200 rows, so that rows of many
+        # lengths share one padded batch
+        rng = fresh_rng(19)
+        cases = 0
+        while cases < 5000:
+            vocab = default_vocabulary(int(rng.choice([5, 7, 100, 50_000])))
+            rate = float(rng.choice([0.0, 0.07, 0.3, 0.95, 0.999, rng.random()]))
+            top = int(rng.choice([3, 30, 70]))
+            truths, draws = [], []
+            for _ in range(int(rng.integers(1, 201))):
+                truths.append(rng.integers(0, len(vocab), rng.integers(1, top + 1)))
+                draws.append(_draw_corruption(len(truths[-1]), rng))
+            rows = _spine_rows(_outcomes(truths, draws, len(vocab)), rate)
+            assert len(rows) == len(truths)
+            for ids, d, (labels, hints, errs) in zip(truths, draws, rows):
+                truth = tuple(vocab.tokens[i] for i in ids)
+                got = [
+                    (vocab.tokens[lab], None if hint < 0 else vocab.tokens[hint], err)
+                    for lab, hint, err in zip(labels, hints, errs)
+                ]
+                assert got == corrupt_by_loop(truth, rate, d, vocab)
+            cases += len(truths)
+
+    def test_generator_spine_matches_loop_oracle(self):
+        # generate_wg_pair's batch of one: the image lattice's best path is
+        # its spine, corrupted with the stream's first draws
+        spec = small_spec(vocab_size=40)
+        vocab = default_vocabulary(spec.vocab_size)
+        rng = fresh_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            ids = rng.integers(0, 40, n)
+            truth = SymbolSequence(tuple(vocab.tokens[i] for i in ids))
+            rate = float(rng.random() * 0.99)
+            seed = int(rng.integers(0, 2**32))
+            wg_i, _ = generate_wg_pair(truth, rate, 0.1, spec, fresh_rng(seed))
+            draws = _draw_corruption(n, fresh_rng(seed))
+            spine = corrupt_by_loop(truth.labels, rate, draws, vocab)
+            assert best_path(wg_i)[0].labels == tuple(lab for lab, _, _ in spine)
+
+    def test_rejects_labels_outside_vocabulary(self):
+        spec = small_spec()
+        with pytest.raises(ValueError, match="not in the spec's vocabulary"):
+            generate_wg_pair(SymbolSequence(("sym000", "zzz")), 0.1, 0.1, spec,
+                             fresh_rng(0))
 
 
 class TestAlphaGrid:
