@@ -16,6 +16,7 @@ from .align import SWParams
 from .ctc import greedy_decode
 from .errors import FormatError, LatticeError
 from .formats import (
+    format_score,
     parse_pgs,
     parse_single,
     parse_word_graphs,
@@ -42,41 +43,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _alpha(value):
-    try:
-        a = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad alpha {value!r}") from None
-    if not 0.0 < a < 1.0:
-        raise argparse.ArgumentTypeError("alpha must lie strictly inside (0, 1)")
-    return a
+def _number(kind, ok, rule, bad="value", finite=None):
+    """An argparse type that parses with ``kind``, then requires a finite
+    value if ``finite`` names it, and ``ok``, whose failure reads ``rule``."""
 
-
-def _positive(kind):
     def convert(value):
         try:
             x = kind(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad value {value!r}") from None
-        if isinstance(x, float) and not math.isfinite(x):
-            raise argparse.ArgumentTypeError("value must be finite")
-        if x <= 0:
-            raise argparse.ArgumentTypeError("value must be > 0")
+            raise argparse.ArgumentTypeError(f"bad {bad} {value!r}") from None
+        if finite and not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"{finite} must be finite")
+        if not ok(x):
+            raise argparse.ArgumentTypeError(rule)
         return x
 
     return convert
 
 
-def _non_positive_float(value):
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad value {value!r}") from None
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError("penalty must be finite")
-    if x > 0:
-        raise argparse.ArgumentTypeError("penalty must be <= 0")
-    return x
+# a NaN alpha fails the range test, so it needs no finiteness test
+_alpha = _number(float, lambda x: 0.0 < x < 1.0,
+                 "alpha must lie strictly inside (0, 1)", bad="alpha")
+_count = _number(int, lambda x: x > 0, "value must be > 0")
+_seed = _number(int, lambda x: x >= 0, "value must be >= 0")
+_positive = _number(float, lambda x: x > 0, "value must be > 0", finite="value")
+_penalty = _number(float, lambda x: x <= 0, "penalty must be <= 0",
+                   finite="penalty")
 
 
 def _read(path):
@@ -85,6 +77,19 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise FormatError(path, 0, f"cannot read file: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FormatError(path, _undecodable_line(path), "not valid UTF-8") from None
+
+
+def _undecodable_line(path) -> int:
+    """Line of the first non-UTF-8 byte of ``path``, as the parsers count."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+    return 0  # the file changed after it failed to decode
 
 
 @contextlib.contextmanager
@@ -117,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wg-to-cn",
                        help="convert a word graph to a confusion network")
     p.add_argument("--wg", required=True, metavar="FILE")
-    p.add_argument("--max-paths", type=_positive(int), default=MAX_PATHS)
+    p.add_argument("--max-paths", type=_count, default=MAX_PATHS)
 
     p = sub.add_parser("fuse",
                        help="fuse an image and an audio word graph")
@@ -127,12 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audio", required=True, metavar="FILE")
     p.add_argument("--alpha", type=_alpha, default=fusion.alpha)
     p.add_argument("--lambda", dest="laplace_lambda",
-                   type=_positive(float), default=fusion.laplace_lambda)
-    p.add_argument("--sw-match", type=_positive(float), default=sw.match_score)
-    p.add_argument("--sw-mismatch", type=_non_positive_float,
+                   type=_positive, default=fusion.laplace_lambda)
+    p.add_argument("--sw-match", type=_positive, default=sw.match_score)
+    p.add_argument("--sw-mismatch", type=_penalty,
                    default=sw.mismatch_penalty)
-    p.add_argument("--sw-gap", type=_non_positive_float, default=sw.gap_penalty)
-    p.add_argument("--max-paths", type=_positive(int), default=MAX_PATHS)
+    p.add_argument("--sw-gap", type=_penalty, default=sw.gap_penalty)
+    p.add_argument("--max-paths", type=_count, default=MAX_PATHS)
 
     p = sub.add_parser("eval-ser",
                        help="corpus symbol error rate of parallel files")
@@ -142,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate",
                        help="run the nine-scenario evaluation grid")
     p.add_argument("--grid", action="store_true", required=True)
-    p.add_argument("--trials", type=_positive(int), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--alpha-step", type=_alpha, default=DEFAULT_ALPHA_STEP)
     p.add_argument("--out", default="reports", metavar="DIR")
     p.add_argument("--dump-lattices", action="store_true",
@@ -164,7 +169,7 @@ def _cmd_decode_greedy(args):
 def _cmd_wg_best_path(args):
     seq, logscore = best_path(_load_wg(args.wg))
     print(seq.to_text())
-    print(f"LOGSCORE {format(logscore, '.12g')}")
+    print(f"LOGSCORE {format_score(logscore)}")
 
 
 def _cmd_wg_to_cn(args):
@@ -217,7 +222,7 @@ def _cmd_wilcoxon(args):
     res = wilcoxon_signed_rank(va, vb)
     print(
         f"W {format(res.statistic, 'g')} N {res.n_effective} "
-        f"P {format(res.p_value, '.12g')} VERDICT {res.verdict}"
+        f"P {format_score(res.p_value)} VERDICT {res.verdict}"
     )
 
 

@@ -17,6 +17,7 @@ from .lattice import ConfusionNetwork, Edge, SymbolSequence, WordGraph
 
 
 def format_score(x: float) -> str:
+    """``x`` to 12 significant digits, as every score and statistic prints."""
     return format(float(x), ".12g")
 
 

@@ -34,6 +34,7 @@ from .lattice import (
     SymbolSequence,
     WordGraph,
     _posteriors_from_log,
+    _require_integer,
     best_path,
     cn_best_path,
     cn_from_wg,
@@ -51,9 +52,9 @@ class FusionConfig:
     """Knobs shared by the fusion strategies.
 
     ``alpha`` must lie strictly inside (0, 1) and ``laplace_lambda`` must be
-    finite and > 0.  ``max_paths`` caps the number of lattice paths
-    considered; larger lattices are truncated to their n-best with
-    renormalized posteriors.
+    finite and > 0.  ``max_paths``, an integer >= 1, caps the number of
+    lattice paths considered; larger lattices are truncated to their n-best
+    with renormalized posteriors.
     """
 
     alpha: float = 0.5
@@ -71,6 +72,7 @@ class FusionConfig:
             raise ValueError("laplace_lambda must be finite")
         if self.laplace_lambda <= 0:
             raise ValueError("laplace_lambda must be > 0")
+        _require_integer("max_paths", self.max_paths)
         if self.max_paths < 1:
             raise ValueError("max_paths must be >= 1")
 
@@ -89,6 +91,20 @@ def lattice_hypotheses(wg: WordGraph, max_paths: int) -> dict:
     return grouped
 
 
+def _risk(cands: list, hyp: dict) -> tuple:
+    """Each candidate's posterior-weighted edit distance to the paths of
+    ``hyp`` (label tuple -> posterior), and its own posterior there."""
+    refs = sorted(hyp)
+    risk = edit_distance_matrix(cands, refs) @ np.array([hyp[r] for r in refs])
+    return risk, np.array([hyp.get(c, 0.0) for c in cands])
+
+
+def _least_risk(cands: list, risk, post) -> SymbolSequence:
+    """The candidate of least risk; ties go to the higher posterior, then to
+    the lower index: the smaller label sequence, as ``cands`` is sorted."""
+    return SymbolSequence(cands[np.lexsort((-post, risk))[0]])
+
+
 class MbrTables:
     """Precomputed risk tables for one lattice pair, reusable across alpha."""
 
@@ -96,27 +112,16 @@ class MbrTables:
         hyp_i = lattice_hypotheses(wg_i, max_paths)
         hyp_a = lattice_hypotheses(wg_a, max_paths)
         self.candidates = sorted(set(hyp_i) | set(hyp_a))
-        refs_i = sorted(hyp_i)
-        refs_a = sorted(hyp_a)
-        post_i = np.array([hyp_i[r] for r in refs_i])
-        post_a = np.array([hyp_a[r] for r in refs_a])
-        self.risk_i = edit_distance_matrix(self.candidates, refs_i) @ post_i
-        self.risk_a = edit_distance_matrix(self.candidates, refs_a) @ post_a
-        self._cand_post_i = np.array([hyp_i.get(c, 0.0) for c in self.candidates])
-        self._cand_post_a = np.array([hyp_a.get(c, 0.0) for c in self.candidates])
+        self.risk_i, self._cand_post_i = _risk(self.candidates, hyp_i)
+        self.risk_a, self._cand_post_a = _risk(self.candidates, hyp_a)
 
     def decode(self, alpha: float) -> SymbolSequence:
-        """Candidate with minimum alpha-weighted expected edit distance.
-
-        Risk ties go to the candidate with the higher alpha-weighted
-        posterior, then to the lexicographically smallest label sequence.
-        """
-        risk = alpha * self.risk_i + (1.0 - alpha) * self.risk_a
-        wpost = alpha * self._cand_post_i + (1.0 - alpha) * self._cand_post_a
-        # lexsort is stable and candidates are sorted, so index order is the
-        # lexicographic tie-break
-        best = np.lexsort((-wpost, risk))[0]
-        return SymbolSequence(self.candidates[best])
+        """Candidate with minimum alpha-weighted expected edit distance,
+        ties broken by the alpha-weighted posterior as in ``_least_risk``."""
+        return _least_risk(
+            self.candidates,
+            alpha * self.risk_i + (1.0 - alpha) * self.risk_a,
+            alpha * self._cand_post_i + (1.0 - alpha) * self._cand_post_a)
 
 
 def _prepare_mbr(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
@@ -134,12 +139,7 @@ def mbr_decode(wg: WordGraph, max_paths: int = MAX_PATHS) -> SymbolSequence:
     """Unimodal minimum-risk decode: the set-median path of one lattice."""
     hyp = lattice_hypotheses(wg, max_paths)
     refs = sorted(hyp)
-    post = np.array([hyp[r] for r in refs])
-    risks = edit_distance_matrix(refs, refs) @ post
-    best = min(
-        range(len(refs)), key=lambda k: (risks[k], -hyp[refs[k]], refs[k])
-    )
-    return SymbolSequence(refs[best])
+    return _least_risk(refs, *_risk(refs, hyp))
 
 
 def fuse_lightly(wg_src: WordGraph, wg_corr: WordGraph) -> SymbolSequence:

@@ -23,6 +23,7 @@ without a complete path.
 
 import heapq
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -47,6 +48,17 @@ class Edge(NamedTuple):
     score: float
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def _is_symbol(lab) -> bool:
+    """A symbol is a non-empty label without whitespace."""
+    return bool(lab) and not any(ch.isspace() for ch in lab)
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Ordered set of transcription symbols.
@@ -62,7 +74,7 @@ class Vocabulary:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         index = {}
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if not _is_symbol(tok):
                 raise ValueError(f"bad vocabulary token {tok!r}")
             if tok in (EPS, BLANK):
                 raise ValueError(f"reserved token {tok!r} cannot be a vocabulary symbol")
@@ -242,7 +254,7 @@ def validate_wg(wg: WordGraph) -> Verdict:
     for e in wg.edges:
         if not (0 <= e.src < n and 0 <= e.dst < n):
             return Verdict(False, "edge endpoint out of range", e)
-        if not e.label or any(ch.isspace() for ch in e.label):
+        if not _is_symbol(e.label):
             return Verdict(False, "edge label empty or has whitespace", e)
         if not 0.0 < e.score <= 1.0:
             return Verdict(False, "edge score outside (0, 1]", e)
@@ -286,25 +298,16 @@ def enumerate_paths(wg: WordGraph, limit: int) -> list[tuple[SymbolSequence, flo
     adj = wg.out_edges()
     found = []
 
-    def walk(v, vids, labels, scores, prod):
+    def walk(v, ent):  # entries as in _k_best, with the product for a score
         if v in wg.finals:
-            found.append((tuple(vids), tuple(labels), tuple(scores), prod))
+            found.append(ent)
             return
         for e in adj[v]:
-            vids.append(e.dst)
-            labels.append(e.label)
-            scores.append(e.score)
-            walk(e.dst, vids, labels, scores, prod * e.score)
-            vids.pop()
-            labels.pop()
-            scores.pop()
+            walk(e.dst, (ent[0] * e.score, ent, e))
 
-    walk(wg.initial, [wg.initial], [], [], 1.0)
-    found.sort(key=lambda p: (p[0], p[1]))
-    return [
-        (SymbolSequence(labels, scores), prod)
-        for _vids, labels, scores, prod in found
-    ]
+    walk(wg.initial, (1.0, None, None))
+    found.sort(key=lambda ent: _tie_key(ent)[:2])
+    return [(_path_sequence(ent), ent[0]) for ent in found]
 
 
 def best_path(wg: WordGraph) -> tuple[SymbolSequence, float]:
@@ -322,8 +325,9 @@ def n_best_paths(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
 
     Paths come out in descending score order (ties: lexicographic vertex-id
     then label sequence).  Returns all complete paths when the lattice holds
-    fewer than ``n``.
+    fewer than ``n``.  ``n`` must be an integer >= 1.
     """
+    _require_integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return _k_best(wg, n)
@@ -360,11 +364,8 @@ def _k_best(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
         for e in adj[v]:
             cost = math.log(e.score)
             state[e.dst] += [(ent[0] - cost, ent, e) for ent in kept]
-    memo[n] = []
-    for ent in _n_best(complete, n):
-        _, _, labels, scores = zip(*_prefix_edges(ent))
-        # 0.0 - neg keeps an all-1.0 path's log score at +0.0, not -0.0
-        memo[n].append((SymbolSequence(labels, scores), 0.0 - ent[0]))
+    # 0.0 - neg keeps an all-1.0 path's log score at +0.0, not -0.0
+    memo[n] = [(_path_sequence(ent), 0.0 - ent[0]) for ent in _n_best(complete, n)]
     return list(memo[n])
 
 
@@ -397,6 +398,12 @@ def _prefix_edges(ent) -> list[Edge]:
         ent = ent[1]
     edges.reverse()
     return edges
+
+
+def _path_sequence(ent) -> SymbolSequence:
+    """The labels and scores of a back-pointer entry's prefix."""
+    _, _, labels, scores = zip(*_prefix_edges(ent))
+    return SymbolSequence(labels, scores)
 
 
 def _tie_key(ent) -> tuple:
@@ -480,7 +487,7 @@ def validate_cn(cn: ConfusionNetwork) -> Verdict:
         if not sub:
             return Verdict(False, "empty subnetwork", idx)
         for lab, score in sub.items():
-            if not lab or any(ch.isspace() for ch in lab):
+            if not _is_symbol(lab):
                 return Verdict(False, "bad subnetwork label", (idx, lab))
             if not 0.0 <= score <= 1.0:
                 return Verdict(False, "subnetwork score outside [0, 1]", (idx, lab))

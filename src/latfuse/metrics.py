@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import edit_distance
+from .formats import format_score
 from .lattice import SymbolSequence
 
 #: Largest effective sample size for which the exact null distribution of the
@@ -147,5 +148,5 @@ def result_line(method: str, scenario: int, alpha, ser_value: float) -> str:
     """Machine-readable result line shared by reports and their consumers."""
     return (
         f"METHOD {method} SCENARIO {scenario} "
-        f"ALPHA {format(alpha, 'g')} SER {format(ser_value, '.12g')}"
+        f"ALPHA {format(alpha, 'g')} SER {format_score(ser_value)}"
     )

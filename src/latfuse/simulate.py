@@ -15,7 +15,6 @@ are bit-reproducible regardless of how trials would be scheduled.
 """
 
 import functools
-import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,8 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import _pair_masks, _paired_distances, edit_distance
+from .formats import format_score, write_transcriptions, write_wg
 from .fusion import METHODS, PREPARE_METHOD, FusionConfig
-from .lattice import Edge, SymbolSequence, Vocabulary, WordGraph, best_path
+from .lattice import (
+    Edge, SymbolSequence, Vocabulary, WordGraph, _require_integer, best_path)
 from .metrics import result_line, wilcoxon_signed_rank
 
 LEVELS = ("High", "Medium", "Low")
@@ -74,7 +75,7 @@ class ScenarioSpec:
     """One cell of the difficulty grid plus the corpus it is run on.
 
     The counts (``trials``, ``vocab_size``, ``seed`` and both length bounds)
-    are integers; a bool is not one.
+    are integers; a bool is not one.  ``seed`` must be >= 0.
     """
 
     image_level: str
@@ -95,10 +96,11 @@ class ScenarioSpec:
             ("sequence_length_range bound", lo),
             ("sequence_length_range bound", hi),
         ):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            _require_integer(name, value)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 1 <= lo <= hi:
             raise ValueError("bad sequence_length_range")
         if self.vocab_size <= 2 * _CONFUSION_WIDTH:
@@ -122,6 +124,7 @@ def _draw_corruption(n: int, rng) -> dict:
     return {
         "u_err": rng.random(n),
         "u_type": rng.random(n),
+        # read by nothing; dropping it shifts every later draw and report digest
         "u_truth": rng.random(n),
         "sub_pick": rng.integers(0, _INT64_MAX, n),
         "ins_pick": rng.integers(0, _INT64_MAX, n),
@@ -151,14 +154,6 @@ class _Outcomes(NamedTuple):
     hints: np.ndarray  # (n, L, 2) truth under each slot; -1 for an insertion
     on_error: np.ndarray  # (n, L, 2) bool
     clean: np.ndarray  # (n, L, 2) bool
-
-
-def _slots(first, second) -> np.ndarray:
-    """Two ``(n, L)`` arrays side by side as an ``(n, L, 2)`` slot array."""
-    out = np.empty((*first.shape, 2), dtype=first.dtype)
-    out[..., 0] = first
-    out[..., 1] = second
-    return out
 
 
 def _outcomes(truths: list, draws: list, size: int) -> _Outcomes:
@@ -191,10 +186,10 @@ def _outcomes(truths: list, draws: list, size: int) -> _Outcomes:
                                   pad(is_sub, False), pad(is_ins, False))
     return _Outcomes(
         truth, lens, pad(draw("u_err"), np.inf),
-        labels=_slots(alt, truth),
-        hints=_slots(np.where(is_sub, truth, -1), truth),
-        on_error=_slots(is_sub | is_ins, is_ins),
-        clean=_slots(np.zeros_like(real), real),
+        labels=np.stack((alt, truth), axis=-1),
+        hints=np.stack((np.where(is_sub, truth, -1), truth), axis=-1),
+        on_error=np.stack((is_sub | is_ins, is_ins), axis=-1),
+        clean=np.stack((np.zeros_like(real), real), axis=-1),
     )
 
 
@@ -410,17 +405,16 @@ class ScenarioReport:
                 raise ValueError(f"SER must be a number >= 0, got {v!r}")
 
 
-def _trial_rng(seed: int, scenario_id: int, trial: int):
-    return np.random.default_rng(
-        np.random.SeedSequence([_TRIAL_STREAM, seed, scenario_id, trial])
-    )
+def _rng(stream: int, *key: int):
+    """The generator for ``key`` on the stream tagged ``stream``."""
+    return np.random.default_rng(np.random.SeedSequence([stream, *key]))
 
 
 def _trial_sample(
     spec: ScenarioSpec, scenario_id: int, trial: int, noise_i: float, noise_a: float
 ):
     """Deterministic (truth, image WG, audio WG) for one trial counter."""
-    rng = _trial_rng(spec.seed, scenario_id, trial)
+    rng = _rng(_TRIAL_STREAM, spec.seed, scenario_id, trial)
     tokens = default_vocabulary(spec.vocab_size).tokens
     truth = SymbolSequence(tuple(tokens[i] for i in _draw_truth(spec, rng)))
     wg_i, wg_a = generate_wg_pair(truth, noise_i, noise_a, spec, rng)
@@ -507,21 +501,17 @@ def run_scenario(
     )
 
 
-def _cal_rng(spec: ScenarioSpec, level: str, *tail: int):
-    return np.random.default_rng(
-        np.random.SeedSequence([_CAL_STREAM, spec.seed, LEVELS.index(level), *tail])
-    )
-
-
-def _level_target(level: str) -> float:
+def _level(level: str) -> tuple:
+    """A level's target SER and its index, which keys its calibration stream."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, not {level!r}")
-    return LEVEL_TARGET_SER[level]
+    return LEVEL_TARGET_SER[level], LEVELS.index(level)
 
 
 def calibrated_rate(spec: ScenarioSpec, level: str) -> float:
     """Noise rate for a difficulty level, from its own deterministic stream."""
-    return calibrate_noise(_level_target(level), spec, _cal_rng(spec, level))
+    target, index = _level(level)
+    return calibrate_noise(target, spec, _rng(_CAL_STREAM, spec.seed, index))
 
 
 def measure_calibrated_level(spec: ScenarioSpec, level: str) -> tuple:
@@ -531,10 +521,10 @@ def measure_calibrated_level(spec: ScenarioSpec, level: str) -> tuple:
     corrupted spine in a full sausage lattice, best-path decodes it, and
     pools the SER.  Returns (rate, measured SER); deterministic per seed.
     """
-    target = _level_target(level)
-    corpus = _calibration_corpus(spec, _cal_rng(spec, level))
+    target, index = _level(level)
+    corpus = _calibration_corpus(spec, _rng(_CAL_STREAM, spec.seed, index))
     rate = _bisect_rate(target, _spine_ser(corpus))
-    wrap_rng = _cal_rng(spec, level, 1)
+    wrap_rng = _rng(_CAL_STREAM, spec.seed, index, 1)
     vocab = default_vocabulary(spec.vocab_size)
     num = 0
     for truth, n, spine in zip(corpus.truths.tolist(), corpus.lens.tolist(),
@@ -566,10 +556,6 @@ def run_scenario_grid(specs, alpha_grid=DEFAULT_ALPHA_GRID) -> list:
     ]
 
 
-def _g(x) -> str:
-    return format(x, ".12g")
-
-
 def format_report(report: ScenarioReport) -> str:
     """Deterministic per-scenario report text (machine-readable lines)."""
     spec = report.spec
@@ -579,7 +565,8 @@ def format_report(report: ScenarioReport) -> str:
         f"trials {spec.trials}, seed {spec.seed}",
         f"SCENARIO {sid} IMAGE {spec.image_level} AUDIO {spec.audio_level} "
         f"TRIALS {spec.trials} SEED {spec.seed}",
-        f"NOISE image {_g(report.noise_image)} audio {_g(report.noise_audio)}",
+        f"NOISE image {format_score(report.noise_image)} "
+        f"audio {format_score(report.noise_audio)}",
         result_line("image", sid, 1, report.baseline_ser["image"]),
         result_line("audio", sid, 0, report.baseline_ser["audio"]),
     ]
@@ -591,7 +578,7 @@ def format_report(report: ScenarioReport) -> str:
         a = report.best_alpha[m]
         lines.append(
             f"BEST {m} SCENARIO {sid} ALPHA {format(a, 'g')} "
-            f"SER {_g(report.cells[(m, a)])}"
+            f"SER {format_score(report.cells[(m, a)])}"
         )
     for m in methods:
         a = report.best_alpha[m]
@@ -602,8 +589,8 @@ def format_report(report: ScenarioReport) -> str:
                 lines.append(f"{head} SKIPPED fewer-than-2-nonzero-differences")
             else:
                 lines.append(
-                    f"{head} W {_g(res.statistic)} N {res.n_effective} "
-                    f"P {_g(res.p_value)} VERDICT {res.verdict}"
+                    f"{head} W {format_score(res.statistic)} N {res.n_effective} "
+                    f"P {format_score(res.p_value)} VERDICT {res.verdict}"
                 )
     return "\n".join(lines) + "\n"
 
@@ -634,20 +621,24 @@ def format_summary(reports: list) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_grid_reports(reports: list, out_dir: str) -> list:
-    """Write scenario_<id>.txt per report plus summary.txt; returns paths."""
+def _write_files(out_dir: str, files: list) -> list:
+    """Write ``(file name, text)`` pairs into ``out_dir``; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for report in reports:
-        path = os.path.join(out_dir, f"scenario_{report.scenario_id}.txt")
+    for name, text in files:
+        path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_report(report))
+            fh.write(text)
         paths.append(path)
-    summary = os.path.join(out_dir, "summary.txt")
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_summary(reports))
-    paths.append(summary)
     return paths
+
+
+def write_grid_reports(reports: list, out_dir: str) -> list:
+    """Write scenario_<id>.txt per report plus summary.txt; returns paths."""
+    return _write_files(out_dir, [
+        *((f"scenario_{r.scenario_id}.txt", format_report(r)) for r in reports),
+        ("summary.txt", format_summary(reports)),
+    ])
 
 
 def dump_scenario_corpus(report: ScenarioReport, out_dir: str) -> list:
@@ -657,9 +648,6 @@ def dump_scenario_corpus(report: ScenarioReport, out_dir: str) -> list:
     noise rates (the RNG streams are counter-derived, so this is bit-faithful)
     and writes scenario_<id>_image.wg, _audio.wg and _refs.txt.
     """
-    from .formats import write_transcriptions, write_wg
-
-    os.makedirs(out_dir, exist_ok=True)
     spec = report.spec
     sid = report.scenario_id
     image_parts, audio_parts, refs = [], [], []
@@ -670,14 +658,8 @@ def dump_scenario_corpus(report: ScenarioReport, out_dir: str) -> list:
         image_parts.append(write_wg(wg_i, name=f"trial{t}"))
         audio_parts.append(write_wg(wg_a, name=f"trial{t}"))
         refs.append(truth)
-    paths = []
-    for suffix, content in (
-        ("image.wg", "".join(image_parts)),
-        ("audio.wg", "".join(audio_parts)),
-        ("refs.txt", write_transcriptions(refs)),
-    ):
-        path = os.path.join(out_dir, f"scenario_{sid}_{suffix}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-        paths.append(path)
-    return paths
+    return _write_files(out_dir, [
+        (f"scenario_{sid}_image.wg", "".join(image_parts)),
+        (f"scenario_{sid}_audio.wg", "".join(audio_parts)),
+        (f"scenario_{sid}_refs.txt", write_transcriptions(refs)),
+    ])

@@ -30,6 +30,11 @@ def single_path_file(tmp_path):
     return make
 
 
+# the commands that take a numeric flag, when not just ``fuse``
+FLAG_COMMANDS = {"--max-paths": ("fuse", "wg-to-cn"), "--trials": ("simulate",),
+                 "--alpha-step": ("simulate",), "--seed": ("simulate",)}
+
+
 class TestFuseCommand:
     def test_identical_single_paths(self, single_path_file, capsys):
         img = single_path_file(("a", "b", "c"), fname="img.wg")
@@ -88,15 +93,41 @@ class TestFuseCommand:
         ("--sw-match", "-inf", "value must be finite"),
         ("--sw-mismatch", "nan", "penalty must be finite"),
         ("--sw-gap", "-inf", "penalty must be finite"),
+        # one unparsable and one out-of-range value per numeric flag
+        ("--alpha", "x", "bad alpha 'x'"),
+        ("--alpha", "1.0", "alpha must lie strictly inside (0, 1)"),
+        ("--alpha", "nan", "alpha must lie strictly inside (0, 1)"),
+        ("--lambda", "x", "bad value 'x'"),
+        ("--lambda", "0", "value must be > 0"),
+        ("--sw-match", "x", "bad value 'x'"),
+        ("--sw-match", "-1", "value must be > 0"),
+        ("--sw-mismatch", "x", "bad value 'x'"),
+        ("--sw-mismatch", "0.5", "penalty must be <= 0"),
+        ("--sw-gap", "x", "bad value 'x'"),
+        ("--sw-gap", "1", "penalty must be <= 0"),
+        ("--max-paths", "2.5", "bad value '2.5'"),
+        ("--max-paths", "0", "value must be > 0"),
+        ("--trials", "x", "bad value 'x'"),
+        ("--trials", "0", "value must be > 0"),
+        ("--alpha-step", "x", "bad alpha 'x'"),
+        ("--alpha-step", "0", "alpha must lie strictly inside (0, 1)"),
+        ("--seed", "x", "bad value 'x'"),
+        ("--seed", "-1", "value must be >= 0"),
     ])
-    def test_non_finite_value_exit_1(self, single_path_file, capsys, flag,
-                                     value, message):
-        img = single_path_file(("a",), fname="f.wg")
-        code = run(["fuse", "--method", "local", f"{flag}={value}",
-                    "--image", str(img), "--audio", str(img)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"latfuse fuse: error: argument {flag}: {message}\n")
+    def test_non_finite_value_exit_1(self, single_path_file, tmp_path, capsys,
+                                     flag, value, message):
+        img = str(single_path_file(("a",), fname="f.wg"))
+        out = tmp_path / "out"
+        base = {"fuse": ["--method", "local", "--image", img, "--audio", img],
+                "wg-to-cn": ["--wg", img],
+                "simulate": ["--grid", "--trials", "1", "--seed", "0",
+                             "--out", str(out)]}
+        for command in FLAG_COMMANDS.get(flag, ("fuse",)):
+            code = run([command, f"{flag}={value}", *base[command]])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"latfuse {command}: error: argument {flag}: {message}\n")
+        assert not out.exists()  # simulate fails before it makes --out
 
 
 class TestDecodeCommands:
@@ -181,6 +212,22 @@ class TestErrorPaths:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["wg-best-path", "--wg", str(tmp_path / "nope.wg")]) == 2
+
+    @pytest.mark.parametrize("head, line", [
+        (b"", 1),
+        (b"WG x\nV 2\n", 3),
+        (b"WG x\r\nV 2\r\nI 0\r", 4),  # CRLF and a lone CR each end a line
+        (b"WG \xc3\xa9\n# caf\xc3", 2),  # a sequence cut short
+    ])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, head, line):
+        bad = tmp_path / "bad.wg"
+        bad.write_bytes(head + b"\xff rest\nEND\n")
+        for argv in (["wg-best-path", "--wg", str(bad)],
+                     ["eval-ser", "--hyp", str(bad), "--ref", str(bad)]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"latfuse: {bad}:{line}: not valid UTF-8\n"
 
     def test_no_complete_path_exit_2(self, tmp_path, capsys):
         dead = tmp_path / "dead.wg"

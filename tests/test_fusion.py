@@ -70,6 +70,17 @@ class TestFusionConfig:
         with pytest.raises(ValueError):
             FusionConfig(max_paths=0)
 
+    @pytest.mark.parametrize("cap", [2.5, 100.0, math.nan, True])
+    def test_max_paths_must_be_an_integer(self, cap):
+        with pytest.raises(ValueError,
+                           match=f"^max_paths must be an integer, not {cap!r}$"):
+            FusionConfig(max_paths=cap)
+        wg = single_path_wg(("p", "q"))
+        for decode in (lattice_hypotheses, mbr_decode):
+            with pytest.raises(ValueError, match="^n must be an integer, "):
+                decode(wg, cap)
+        assert FusionConfig(max_paths=np.int64(7)).max_paths == 7
+
 
 class TestMbr:
     def test_identical_single_paths(self):
@@ -113,9 +124,14 @@ class TestMbr:
 
     def test_consensus_collapses_to_unimodal(self):
         rng = np.random.default_rng(53)
-        for _ in range(20):
-            wg = random_wg(rng)
+        # ("a",) and ("b",) tie at risk 0.75 exactly; ("b",) has the higher
+        # posterior, so it wins although it sorts after ("a",)
+        tie = WordGraph(3, 0, {2}, [(0, 2, "b", 0.5), (0, 2, "a", 0.25),
+                                    (0, 1, "a", 0.25), (1, 2, "c", 1.0)])
+        assert mbr_decode(tie).labels == ("b",)
+        for wg in [tie, *(random_wg(rng) for _ in range(20))]:
             uni = mbr_decode(wg)
+            assert uni.labels == mbr_by_enumeration(wg, wg, 0.5)
             for alpha in (0.1, 0.5, 0.9):
                 cfg = FusionConfig(method="mbr", alpha=alpha)
                 assert run_fusion(wg, wg, cfg) == uni

@@ -290,7 +290,7 @@ class TestEnumerate:
             assert len(got) == len(want) == count_paths(wg)
             for (seq, score), (_, labels, prod) in zip(got, want):
                 assert seq.labels == labels
-                assert math.isclose(score, prod, rel_tol=1e-12)
+                assert score == prod  # both multiply in path order
 
     def test_order_is_lexicographic(self):
         rng = np.random.default_rng(8)
@@ -394,6 +394,15 @@ class TestNBest:
         for n in (0, -1):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 n_best_paths(wg, n)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, math.nan, "3"])
+    def test_n_must_be_an_integer(self, n):
+        wg = diamond_wg()
+        with pytest.raises(ValueError, match=f"^n must be an integer, not {n!r}$"):
+            n_best_paths(wg, n)
+        with pytest.raises(ValueError, match="^n must be an integer, "):
+            cn_from_wg(wg, n)
+        assert n_best_paths(wg, np.int64(2)) == n_best_paths(wg, 2)
 
 
 def all_tied_wg(rng, widths, parallel):

@@ -79,6 +79,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, "):
             small_spec(**{field: value})
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            small_spec(seed=-3)
+        assert small_spec(seed=0).seed == 0
+
     def test_numpy_integers_accepted(self):
         spec = small_spec(trials=np.int64(2), seed=np.int32(3))
         assert (spec.trials, spec.seed) == (2, 3)
