@@ -14,7 +14,7 @@ from operator import ne
 
 import numpy as np
 
-from .lattice import EPS, SymbolSequence, WordGraph, topological_order
+from .lattice import EPS, SymbolSequence, WordGraph, _tie_key, topological_order
 
 _FULL = (1 << 64) - 1  # every bit of a uint64 word
 
@@ -375,12 +375,8 @@ def align_seq_to_lattice(
         return edges
 
     def before(a, b):
-        """Path node a ranks before b: vertex ids, then labels."""
-        if a == b:
-            return False
-        ea, eb = path_edges(a), path_edges(b)
-        return ([e.dst for e in ea], [e.label for e in ea]) < (
-            [e.dst for e in eb], [e.label for e in eb])
+        """Path node a ranks before b in the tie order: ``_tie_key``."""
+        return a != b and _tie_key(path_edges(a)) < _tie_key(path_edges(b))
 
     def new_node(node, k, e, kids):
         kids[k] = len(via)

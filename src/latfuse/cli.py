@@ -6,6 +6,7 @@ output directory, 3 domain error (e.g. files of unequal length).
 """
 
 import argparse
+import codecs
 import contextlib
 import functools
 import math
@@ -72,24 +73,23 @@ _penalty = _number(float, lambda x: x <= 0, "penalty must be <= 0",
 
 
 def _read(path):
+    """A UTF-8 file's text, read once, without a leading byte-order mark.
+
+    CRLF and a lone CR become LF, as in text mode.  A byte that is not UTF-8
+    is reported at its line, which is numbered as the parsers number lines,
+    on the bytes after the byte-order mark.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise FormatError(path, 0, f"cannot read file: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise FormatError(path, _undecodable_line(path), "not valid UTF-8") from None
-
-
-def _undecodable_line(path) -> int:
-    """Line of the first non-UTF-8 byte of ``path``, as the parsers count."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
-        raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return len((raw[:exc.start].decode("utf-8") + ".").splitlines())
-    return 0  # the file changed after it failed to decode
+        line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        raise FormatError(path, line, "not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @contextlib.contextmanager

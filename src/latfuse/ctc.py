@@ -53,11 +53,10 @@ class Posteriorgram:
         return self.rows.shape[0]
 
 
-def _argmax_label(pg: Posteriorgram, row: np.ndarray) -> str:
-    """Most probable label of one row; exact ties go to the smallest label."""
-    best = row.max()
-    cands = [pg.labels[i] for i in np.flatnonzero(row == best)]
-    return min(cands)
+def _ranked(pg: Posteriorgram, row: np.ndarray) -> list:
+    """Label indices of one row, most probable first; exact ties go to the
+    smallest label."""
+    return sorted(range(len(pg.labels)), key=lambda i: (-row[i], pg.labels[i]))
 
 
 def collapse_map(seq: SymbolSequence) -> SymbolSequence:
@@ -78,7 +77,7 @@ def greedy_decode(pg: Posteriorgram) -> SymbolSequence:
     """
     if pg.num_steps == 0:
         raise ValueError("empty posteriorgram")
-    frame_labels = tuple(_argmax_label(pg, row) for row in pg.rows)
+    frame_labels = tuple(pg.labels[_ranked(pg, row)[0]] for row in pg.rows)
     return collapse_map(SymbolSequence(frame_labels))
 
 
@@ -100,9 +99,7 @@ def posteriorgram_to_wg(
         raise ValueError("empty posteriorgram")
     edges = []
     for t, row in enumerate(pg.rows):
-        ranked = sorted(
-            range(len(pg.labels)), key=lambda i: (-row[i], pg.labels[i])
-        )
+        ranked = _ranked(pg, row)
         top = [i for i in ranked[:k] if row[i] >= prob_floor]
         if not top:
             top = [ranked[0]]

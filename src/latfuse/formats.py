@@ -77,6 +77,15 @@ def _record_lines(text: str, source, head: str, body: tuple):
         raise FormatError(source, open_at, f"{head} record not closed with END")
 
 
+def _construct(source, no, cls, *args):
+    """``cls(*args)``; a constructor error is reported at line ``no``, the
+    record's head line."""
+    try:
+        return cls(*args)
+    except (LatticeError, ValueError) as exc:
+        raise FormatError(source, no, str(exc)) from None
+
+
 def _require(fields: dict, need: tuple, name: str, source, no):
     """Fail at the END line of record ``name`` unless every ``need`` line came."""
     for kw in need:
@@ -122,12 +131,9 @@ def parse_word_graphs(text: str, source: str = "<wg>") -> list:
             name, head_no, fields, edges = args[0], no, {}, []
         elif kw == "END":
             _require(fields, ("V", "I", "F"), name, source, no)
-            try:
-                wg = WordGraph(
-                    fields["V"], fields["I"], fields["F"], tuple(edges))
-            except LatticeError as exc:
-                raise FormatError(source, head_no, str(exc)) from None
-            records.append((name, wg))
+            records.append((name, _construct(
+                source, head_no, WordGraph,
+                fields["V"], fields["I"], fields["F"], tuple(edges))))
         elif kw == "F":
             if not args or "F" in fields:
                 raise FormatError(source, no, "expected one: F <id> [<id>...]")
@@ -212,12 +218,9 @@ def parse_pgs(text: str, source: str = "<pg>") -> list:
         else:  # END
             _require(fields, ("LABELS",), name, source, no)
             labels = fields["LABELS"]
-            try:
-                pg = Posteriorgram(labels, np.array(rows, dtype=float).reshape(
-                    len(rows), len(labels)))
-            except ValueError as exc:
-                raise FormatError(source, head_no, str(exc)) from None
-            records.append((name, pg))
+            records.append((name, _construct(
+                source, head_no, Posteriorgram, labels,
+                np.array(rows, dtype=float).reshape(len(rows), len(labels)))))
     return records
 
 

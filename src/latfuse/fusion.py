@@ -33,12 +33,11 @@ from .lattice import (
     ConfusionNetwork,
     SymbolSequence,
     WordGraph,
-    _posteriors_from_log,
+    _n_best_posteriors,
     _require_integer,
     best_path,
     cn_best_path,
     cn_from_wg,
-    n_best_paths,
     strip_eps,
 )
 
@@ -83,10 +82,8 @@ def lattice_hypotheses(wg: WordGraph, max_paths: int) -> dict:
     Uses all complete paths when the lattice holds at most ``max_paths``,
     otherwise the n-best with posteriors renormalized over that subset.
     """
-    paths = n_best_paths(wg, max_paths)
-    posts = _posteriors_from_log([ls for _, ls in paths])
     grouped = {}
-    for (seq, _), p in zip(paths, posts):
+    for seq, p in _n_best_posteriors(wg, max_paths):
         grouped[seq.labels] = grouped.get(seq.labels, 0.0) + p
     return grouped
 
@@ -106,7 +103,13 @@ def _least_risk(cands: list, risk, post) -> SymbolSequence:
 
 
 class MbrTables:
-    """Precomputed risk tables for one lattice pair, reusable across alpha."""
+    """Precomputed risk tables for one lattice pair, reusable across alpha.
+
+    Minimum-expected-risk fusion: the candidate set is the union of the two
+    lattices' path label sequences; the risk of a candidate is its
+    posterior-weighted edit distance to each lattice's paths, mixed with
+    weight ``alpha`` on the image side by ``decode``.
+    """
 
     def __init__(self, wg_i: WordGraph, wg_a: WordGraph, max_paths: int):
         hyp_i = lattice_hypotheses(wg_i, max_paths)
@@ -122,17 +125,6 @@ class MbrTables:
             self.candidates,
             alpha * self.risk_i + (1.0 - alpha) * self.risk_a,
             alpha * self._cand_post_i + (1.0 - alpha) * self._cand_post_a)
-
-
-def _prepare_mbr(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
-    """Minimum-expected-risk fusion: risk tables once, a decode per alpha.
-
-    The candidate set is the union of the two lattices' path label
-    sequences; the risk of a candidate is its posterior-weighted edit
-    distance to each lattice's paths, mixed with weight ``alpha`` on the
-    image side.
-    """
-    return MbrTables(wg_i, wg_a, cfg.max_paths).decode
 
 
 def mbr_decode(wg: WordGraph, max_paths: int = MAX_PATHS) -> SymbolSequence:
@@ -282,7 +274,7 @@ def _alpha_free(hyp: SymbolSequence):
 #: module's functions up by name when called, never holding the function
 #: objects, so a patched or wrapped function is the one that runs.
 PREPARE_METHOD = {
-    "mbr": _prepare_mbr,
+    "mbr": lambda wg_i, wg_a, cfg: MbrTables(wg_i, wg_a, cfg.max_paths).decode,
     "lightly_ia": lambda wg_i, wg_a, cfg: _alpha_free(fuse_lightly(wg_i, wg_a)),
     "lightly_ai": lambda wg_i, wg_a, cfg: _alpha_free(fuse_lightly(wg_a, wg_i)),
     "global": _prepare_global,

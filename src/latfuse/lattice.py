@@ -27,7 +27,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import LatticeError, PathCountExceededError
 
@@ -205,27 +205,27 @@ class Verdict:
 def topological_order(wg: WordGraph) -> tuple[int, ...] | None:
     """Kahn topological order of all vertices, or None if the graph has a cycle.
 
-    Ready vertices leave smallest id first.  The order is computed once per
-    graph (by ``validate_wg``, at construction) and kept, as a tuple, in the
+    Ready vertices leave smallest id first.  The walk reads ``out_edges``.
+    The order is computed once per graph (by ``validate_wg``, at
+    construction, after its endpoint check) and kept, as a tuple, in the
     graph's ``__dict__``.
     """
     order = wg.__dict__.get("_topological_order")
     if order is not None:
         return order
     indeg = [0] * wg.num_vertices
-    adj = [[] for _ in range(wg.num_vertices)]
     for e in wg.edges:
         indeg[e.dst] += 1
-        adj[e.src].append(e.dst)
+    adj = wg.out_edges()
     queue = [v for v in range(wg.num_vertices) if indeg[v] == 0]
     order = []
     while queue:
         v = heapq.heappop(queue)
         order.append(v)
-        for u in adj[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(queue, u)
+        for e in adj[v]:
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                heapq.heappush(queue, e.dst)
     if len(order) != wg.num_vertices:
         return None
     order = wg.__dict__["_topological_order"] = tuple(order)
@@ -306,7 +306,7 @@ def enumerate_paths(wg: WordGraph, limit: int) -> list[tuple[SymbolSequence, flo
             walk(e.dst, (ent[0] * e.score, ent, e))
 
     walk(wg.initial, (1.0, None, None))
-    found.sort(key=lambda ent: _tie_key(ent)[:2])
+    found.sort(key=lambda ent: _tie_key(_prefix_edges(ent)))
     return [(_path_sequence(ent), ent[0]) for ent in found]
 
 
@@ -370,7 +370,8 @@ def _k_best(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
 
 
 def _n_best(entries: list, n: int) -> list:
-    """The first ``n`` back-pointer entries by score, then ``_tie_key``.
+    """The first ``n`` back-pointer entries by score, then ``_tie_key``, then
+    edge scores.
 
     Sorts ``entries`` in place by score alone (stably), then re-sorts each
     run of exactly equal scores that reaches into the first ``n``: only
@@ -384,7 +385,7 @@ def _n_best(entries: list, n: int) -> list:
         while start < min(n, len(negs)):
             stop = bisect_right(negs, negs[start])
             if stop - start > 1:
-                entries[start:stop] = sorted(entries[start:stop], key=_tie_key)
+                entries[start:stop] = sorted(entries[start:stop], key=_entry_key)
             start = stop
     return entries[:n]
 
@@ -406,10 +407,17 @@ def _path_sequence(ent) -> SymbolSequence:
     return SymbolSequence(labels, scores)
 
 
-def _tie_key(ent) -> tuple:
-    """A prefix's vertex ids (less the initial one, which all share),
-    labels and scores."""
-    return tuple(zip(*_prefix_edges(ent)))[1:]
+def _tie_key(edges) -> tuple:
+    """The documented order of equal-scoring paths over one graph: by the
+    vertex ids of their ``edges`` (less the initial one, which all share),
+    then by their labels.  An empty edge list ranks first."""
+    return tuple(zip(*edges))[1:3]
+
+
+def _entry_key(ent) -> tuple:
+    """A back-pointer entry's ``_tie_key``, then its edge scores."""
+    edges = _prefix_edges(ent)
+    return _tie_key(edges), [e.score for e in edges]
 
 
 def path_posteriors(paths: list[tuple[SymbolSequence, float]]) -> list[float]:
@@ -423,13 +431,15 @@ def path_posteriors(paths: list[tuple[SymbolSequence, float]]) -> list[float]:
     return [s / total for s in scores]
 
 
-def _posteriors_from_log(logscores: Iterable[float]) -> list[float]:
-    """Softmax of log scores, shifted for numerical safety."""
-    logs = list(logscores)
-    m = max(logs)
-    weights = [math.exp(x - m) for x in logs]
+def _n_best_posteriors(wg: WordGraph, max_paths: int) -> list:
+    """``(path, posterior)`` for each of the ``max_paths`` best paths of
+    ``wg``, in n-best order, the posteriors renormalized over those paths: a
+    softmax of their log scores, shifted by the largest."""
+    paths = n_best_paths(wg, max_paths)
+    m = max(ls for _, ls in paths)
+    weights = [math.exp(ls - m) for _, ls in paths]
     total = sum(weights)
-    return [w / total for w in weights]
+    return [(seq, w / total) for (seq, _), w in zip(paths, weights)]
 
 
 def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
@@ -456,16 +466,15 @@ def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
     """
     from .align import _align_to_pivot  # align imports this module
 
-    paths = n_best_paths(wg, max_paths)
-    posts = _posteriors_from_log([ls for _, ls in paths])
-    pivot = paths[0][0].labels
-    rows = _align_to_pivot(pivot, [seq.labels for seq, _ in paths])
+    ranked = _n_best_posteriors(wg, max_paths)
+    pivot = ranked[0][0].labels
+    rows = _align_to_pivot(pivot, [seq.labels for seq, _ in ranked])
     # over distinct insertion tuples: the certified rows share one
     widths = [max(map(len, gap)) for gap in zip(*{ins for _, ins in rows})]
     columns = [{} for _ in range(len(pivot) + sum(widths))]
     # spliced right to left, so gap g still sits before at_pivot[g]
     open_gaps = [g for g in reversed(range(len(widths))) if widths[g]]
-    for post, (at_pivot, inserted) in zip(posts, rows):
+    for (_, post), (at_pivot, inserted) in zip(ranked, rows):
         row = list(at_pivot)
         for g in open_gaps:
             row[g:g] = inserted[g] + (EPS,) * (widths[g] - len(inserted[g]))

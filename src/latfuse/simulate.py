@@ -60,7 +60,6 @@ _TRUTH_IN_LATTICE_PROB = 0.9
 _CONFUSION_WIDTH = 2
 _NEIGHBOR_OFFSETS = tuple(
     off for off in range(-_CONFUSION_WIDTH, _CONFUSION_WIDTH + 1) if off != 0)
-_NEIGHBOR_STEPS = np.array(_NEIGHBOR_OFFSETS)
 
 # Upper bound (exclusive) of the substitution and insertion picks.
 _INT64_MAX = np.iinfo(np.int64).max
@@ -131,11 +130,6 @@ def _draw_corruption(n: int, rng) -> dict:
     }
 
 
-def _neighborhood(index: int, size: int) -> list:
-    """Confusable vocabulary indices around ``index`` (itself excluded)."""
-    return [(index + off) % size for off in _NEIGHBOR_OFFSETS]
-
-
 class _Outcomes(NamedTuple):
     """What corruption does to each truth position of a batch, at any rate.
 
@@ -180,7 +174,7 @@ def _outcomes(truths: list, draws: list, size: int) -> _Outcomes:
     u_type = draw("u_type")
     is_sub = u_type < _P_SUB
     is_ins = u_type >= _P_SUB + _P_DEL
-    steps = _NEIGHBOR_STEPS[draw("sub_pick") % len(_NEIGHBOR_STEPS)]
+    steps = np.take(_NEIGHBOR_OFFSETS, draw("sub_pick") % len(_NEIGHBOR_OFFSETS))
     alt = np.where(is_sub, (truth + steps) % size, draw("ins_pick") % size)
     truth, alt, is_sub, is_ins = (pad(truth, -1), pad(alt, -1),
                                   pad(is_sub, False), pad(is_ins, False))
@@ -242,9 +236,9 @@ def _wrap_sausage(spine: tuple, rng, vocab: Vocabulary) -> WordGraph:
             and rng.random() < _TRUTH_IN_LATTICE_PROB
         ):
             alts.append(tokens[hint])
-        neigh = _neighborhood(lab, len(tokens))
         while len(alts) < _BRANCHING:
-            cand = tokens[neigh[rng.integers(0, len(neigh))]]
+            off = _NEIGHBOR_OFFSETS[rng.integers(0, len(_NEIGHBOR_OFFSETS))]
+            cand = tokens[(lab + off) % len(tokens)]
             if cand not in alts:
                 alts.append(cand)
         c0, c1 = _ERROR_CONC if is_err else _CORRECT_CONC

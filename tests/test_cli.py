@@ -180,6 +180,13 @@ class TestEvalSer:
         assert run(["eval-ser", "--hyp", str(hyp), "--ref", str(ref)]) == 0
         assert capsys.readouterr().out.strip() == "SER 20.00"
 
+    def test_crlf_and_lone_cr_end_a_line(self, tmp_path, capsys):
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_bytes(b"a b c\r\nd\r\n")
+        ref.write_bytes(b"a b c\rd\r")
+        assert run(["eval-ser", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+        assert capsys.readouterr().out == "SER 0.00\n"
+
     def test_length_mismatch_domain_error(self, tmp_path):
         hyp = tmp_path / "h.txt"
         ref = tmp_path / "r.txt"
@@ -228,6 +235,33 @@ class TestErrorPaths:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"latfuse: {bad}:{line}: not valid UTF-8\n"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        text = write_wg(WordGraph(3, 0, {2}, [
+            (0, 1, "a", 0.5), (0, 1, "b", 0.25), (1, 2, "c", 1.0)]), name="x")
+        plain, bom = tmp_path / "plain.wg", tmp_path / "bom.wg"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert run(["wg-best-path", "--wg", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert run(["wg-best-path", "--wg", str(bom)]) == 0
+        assert capsys.readouterr() == expected
+        assert expected.out.startswith("a c\n")
+
+    def test_byte_order_mark_in_a_reference_file(self, tmp_path, capsys):
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_bytes(b"a b\n")
+        ref.write_bytes(b"\xef\xbb\xbfa b\n")
+        assert run(["eval-ser", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+        assert capsys.readouterr().out == "SER 0.00\n"
+
+    def test_bad_byte_after_a_byte_order_mark(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wg"
+        bad.write_bytes(b"\xef\xbb\xbfWG x\nV 2\nI \xff0\nEND\n")
+        assert run(["wg-best-path", "--wg", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"latfuse: {bad}:3: not valid UTF-8\n"
 
     def test_no_complete_path_exit_2(self, tmp_path, capsys):
         dead = tmp_path / "dead.wg"

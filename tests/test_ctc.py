@@ -130,6 +130,27 @@ class TestSausageBuilder:
             )
             assert seq.labels == argmaxes
 
+    def test_ties_keep_the_smallest_labels_first(self):
+        # dyadic rows, so each tie is exact; k is smaller than every tie
+        labels = (BLANK, "d", "b", "c", "a")
+        rows = np.array([
+            [0.0625, 0.234375, 0.234375, 0.234375, 0.234375],  # a, b, c, d
+            [0.25, 0.25, 0.25, 0.25, 0.0],  # <blk>, b, c, d
+            [0.0, 0.125, 0.375, 0.125, 0.375],  # a, b; then c, d
+            [0.5, 0.0, 0.0, 0.0, 0.5],  # <blk>, a
+            [0.0, 0.25, 0.25, 0.25, 0.25],
+        ])
+        pg = Posteriorgram(labels, rows)
+        wg = posteriorgram_to_wg(pg, k=2, prob_floor=0.01)
+        steps = [[e.label for e in wg.edges if e.src == t] for t in range(5)]
+        assert steps == [["a", "b"], [BLANK, "b"], ["a", "b"], [BLANK, "a"],
+                         ["a", "b"]]
+        tops = [labs[0] for labs in steps]
+        assert greedy_decode(pg) == collapse_map(SymbolSequence(tuple(tops)))
+        for row, top in zip(rows, tops):  # one step: its frame label, collapsed
+            one = greedy_decode(Posteriorgram(labels, row[None, :]))
+            assert one.labels == (() if top == BLANK else (top,))
+
     def test_always_valid(self):
         rng = np.random.default_rng(25)
         for _ in range(30):

@@ -153,6 +153,30 @@ class TestMbr:
         assert sum(hyp.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestNBestPosteriors:
+    def test_cn_columns_are_the_hypotheses_position_marginals(self):
+        # a sausage whose columns use disjoint labels, so every path aligns
+        # to the pivot position by position; 3^5 = 243 paths, capped at 20
+        rng = np.random.default_rng(57)
+        edges = []
+        for t in range(5):
+            weights = rng.dirichlet(np.ones(3))
+            edges += [(t, t + 1, f"c{t}x{j}", float(w))
+                      for j, w in enumerate(weights)]
+        wg = WordGraph(6, 0, {5}, edges)
+        hyp = lattice_hypotheses(wg, 20)
+        assert len(hyp) == 20
+        cn = cn_from_wg(wg, 20)
+        assert len(cn) == 5
+        for t, col in enumerate(cn.subnetworks):
+            marginal = {}
+            for labels, post in hyp.items():
+                marginal[labels[t]] = marginal.get(labels[t], 0.0) + post
+            assert col.keys() == marginal.keys()
+            for lab, mass in col.items():
+                assert abs(mass - marginal[lab]) <= 1e-12
+
+
 class TestLightly:
     def test_transcript_in_corrector(self):
         wg = WordGraph(3, 0, {2}, [

@@ -468,6 +468,24 @@ class TestNBestTieCutoff:
             got = n_best_paths(wg, n)
             assert [(seq.labels, ls) for seq, ls in got] == ranked[:n]
 
+    def test_same_label_copies_rank_by_edge_scores(self):
+        # two paths share vertex ids and labels and tie bit for bit; the
+        # n-best ranks them by their edge scores, while enumeration keeps
+        # the depth-first order of the sorted out-edges
+        wg = WordGraph(3, 0, {2}, [(0, 1, "a", 0.5), (0, 1, "a", 0.25),
+                                   (1, 2, "b", 0.25), (1, 2, "b", 0.5)])
+        got = n_best_paths(wg, 4)
+        assert got[1][1] == got[2][1]
+        assert [seq.scores for seq, _ in got] == [
+            (0.5, 0.5), (0.25, 0.5), (0.5, 0.25), (0.25, 0.25)]
+        assert [seq.scores for seq, _ in enumerate_paths(wg, 4)] == [
+            (0.25, 0.25), (0.25, 0.5), (0.5, 0.25), (0.5, 0.5)]
+        # with an exact copy, depth first is not edge-score order
+        wg = WordGraph(3, 0, {2}, [(0, 1, "a", 0.5), (0, 1, "a", 0.5),
+                                   (1, 2, "b", 0.25), (1, 2, "b", 0.5)])
+        assert [seq.scores for seq, _ in enumerate_paths(wg, 4)] == [
+            (0.5, 0.25), (0.5, 0.5), (0.5, 0.25), (0.5, 0.5)]
+
 
 class TestDecodeMemo:
     def test_repeat_call_does_not_decode_again(self, monkeypatch):
