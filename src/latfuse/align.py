@@ -501,12 +501,11 @@ def dtw_align(cn_a, cn_b):
     The local cost is ``subnetwork_distance``.  Steps are (1,1), (1,0),
     (0,1) with both endpoints matched; ties during backtrace prefer (1,1),
     then (1,0).  Returns (path, total_cost) where path is the list of
-    matched index pairs from (0,0) to (|a|-1, |b|-1).
+    matched index pairs from (0,0) to (|a|-1, |b|-1); a confusion network
+    has at least one subnetwork, so the path does too.
     """
     subs_a, subs_b = cn_a.subnetworks, cn_b.subnetworks
     n, m = len(subs_a), len(subs_b)
-    if n == 0 or m == 0:
-        raise ValueError("empty confusion network")
     local = _subnetwork_distances(subs_a, subs_b)
     # A predecessor outside the matrix counts as inf, and min is taken in
     # the order diagonal, up, left; min(inf, x) is x except for a nan x.

@@ -6,7 +6,6 @@ output directory, 3 domain error (e.g. files of unequal length).
 """
 
 import argparse
-import codecs
 import contextlib
 import functools
 import math
@@ -17,6 +16,7 @@ from .align import SWParams
 from .ctc import greedy_decode
 from .errors import FormatError, LatticeError
 from .formats import (
+    _lines,
     format_score,
     parse_pgs,
     parse_single,
@@ -73,23 +73,19 @@ _penalty = _number(float, lambda x: x <= 0, "penalty must be <= 0",
 
 
 def _read(path):
-    """A UTF-8 file's text, read once, without a leading byte-order mark.
-
-    CRLF and a lone CR become LF, as in text mode.  A byte that is not UTF-8
-    is reported at its line, which is numbered as the parsers number lines,
-    on the bytes after the byte-order mark.
-    """
+    """A UTF-8 file's text, read once.  The parsers skip a leading byte-order
+    mark and end lines at LF, CRLF and CR; a byte that is not UTF-8 is
+    reported at its line, split by the same rule."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read().removeprefix(codecs.BOM_UTF8)
+            raw = fh.read()
     except OSError as exc:
         raise FormatError(path, 0, f"cannot read file: {exc.strerror}") from None
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        line = len(_lines(raw[:exc.start].decode("utf-8") + "."))
         raise FormatError(path, line, "not valid UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @contextlib.contextmanager

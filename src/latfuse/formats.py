@@ -6,7 +6,8 @@ WG, CN and PG files share one record grammar (``_record_lines``): a
 printed with 12 significant digits and the parsers round-trip bit-exactly at
 that precision: parse(write(x)) serializes back to identical bytes.  A line
 starting with ``#`` is a comment; blank lines are ignored (except in
-transcription files, where every line is one transcription).
+transcription files, where every line is one transcription).  Every reader
+splits its text into lines with ``_lines``.
 """
 
 import numpy as np
@@ -21,13 +22,25 @@ def format_score(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _lines(text: str) -> list:
+    """The lines of ``text``, after a leading byte-order mark (U+FEFF).
+
+    LF, CRLF and a lone CR end a line; every other separator (form feed,
+    NEL, U+2028, ...) is whitespace inside one.  A final line ending adds no
+    empty line.
+    """
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n")
+    lines = text.replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _content_lines(text: str):
     """Yield (line_no, stripped content) skipping blanks and comment lines.
 
     Only whole-line comments are recognized so that labels containing ``#``
     (sharps in music tokens) survive untouched.
     """
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield no, line
@@ -161,7 +174,13 @@ def write_cn(cn: ConfusionNetwork, name: str = "cn") -> str:
 
 
 def parse_cns(text: str, source: str = "<cn>") -> list:
-    """Parse a stream of CN records; returns [(name, ConfusionNetwork), ...]."""
+    """Parse a stream of CN records; returns [(name, ConfusionNetwork), ...].
+
+    A score outside [0, 1] or a repeated label is reported at its ``A``
+    line.  A record that parses but fails ``validate_cn`` (no subnetworks,
+    an empty one, scores that do not sum to 1) is reported at its ``CN``
+    line with the constructor's ``invalid confusion network: ...`` message.
+    """
     records = []
     for no, kw, args in _record_lines(text, source, "CN", ("A", "S")):
         if kw == "A":
@@ -178,11 +197,10 @@ def parse_cns(text: str, source: str = "<cn>") -> list:
                 raise FormatError(source, no, "expected bare S line")
             subs.append({})
         elif kw == "CN":
-            name, subs = args[0], []
+            name, head_no, subs = args[0], no, []
         else:  # END
-            if not all(subs):
-                raise FormatError(source, no, "empty subnetwork")
-            records.append((name, ConfusionNetwork(tuple(subs))))
+            records.append((name, _construct(
+                source, head_no, ConfusionNetwork, tuple(subs))))
     return records
 
 
@@ -252,10 +270,7 @@ def read_transcriptions(text: str) -> list:
     Every line counts, including empty ones (an empty transcription); a
     trailing newline does not add a final empty transcription.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return [SymbolSequence.from_text(line) for line in lines]
+    return [SymbolSequence.from_text(line) for line in _lines(text)]
 
 
 def write_transcriptions(seqs) -> str:

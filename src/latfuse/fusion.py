@@ -152,7 +152,7 @@ def merge_subnetworks(sub_i: dict, sub_a: dict, alpha: float, lam: float) -> dic
     Scores are smoothed over the union label set L as (s + lam)/(1 + lam|L|),
     combined as image^alpha * audio^(1-alpha), and renormalized to sum to 1.
     ``alpha`` must lie strictly inside (0, 1), as ``FusionConfig`` requires,
-    and ``lam`` must be finite and > 0.
+    and ``lam`` must be finite and > 0, with ``lam * |L|`` finite too.
     """
     if not 0.0 < alpha < 1.0:  # also rejects NaN
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -162,6 +162,8 @@ def merge_subnetworks(sub_i: dict, sub_a: dict, alpha: float, lam: float) -> dic
         raise ValueError("lam must be > 0")
     union = sorted(set(sub_i) | set(sub_a))
     denom = 1.0 + lam * len(union)
+    if denom == math.inf:  # every smoothed score would be 0
+        raise ValueError(f"lam {lam!r} times {len(union)} labels overflows")
     col = {}
     for lab in union:
         si = (sub_i.get(lab, 0.0) + lam) / denom

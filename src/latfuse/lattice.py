@@ -15,10 +15,11 @@ copies, and ``topological_order`` and ``out_edges`` keep their tuples.  The
 memos live and die with the graph; two threads racing on one at worst
 compute it twice.
 
-A ``WordGraph`` is valid by construction: its constructor runs
-``validate_wg`` and raises ``LatticeError`` naming the first violated
-invariant, so the decoders never meet a cycle, a dangling edge or a graph
-without a complete path.
+A ``WordGraph`` and a ``ConfusionNetwork`` are valid by construction: their
+constructors run ``validate_wg`` and ``validate_cn`` and raise
+``LatticeError`` naming the first violated invariant, so the decoders never
+meet a cycle, a dangling edge, a graph without a complete path, an empty
+network or a subnetwork that is not a distribution.
 """
 
 import heapq
@@ -27,7 +28,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import LatticeError, PathCountExceededError
 
@@ -55,8 +56,16 @@ def _require_integer(name: str, value) -> None:
 
 
 def _is_symbol(lab) -> bool:
-    """A symbol is a non-empty label without whitespace."""
-    return bool(lab) and not any(ch.isspace() for ch in lab)
+    """A symbol is a non-empty string without whitespace (``str.split`` and
+    ``str.isspace`` share one whitespace table); any other type raises
+    ``TypeError``."""
+    return str.split(lab) == [lab]
+
+
+def _refuse(kind: str, violation: str, where) -> NoReturn:
+    """Raise ``LatticeError("invalid <kind>: <violation>[: <where>]")``."""
+    detail = "" if where is None else f": {where}"
+    raise LatticeError(f"invalid {kind}: {violation}{detail}")
 
 
 @dataclass(frozen=True)
@@ -151,9 +160,7 @@ class WordGraph:
                 if float(text) != where.score:  # rounding may hide the fault
                     text = repr(float(where.score))
                 where = f"E {where.src} {where.dst} {where.label} {text}"
-            detail = "" if where is None else f": {where}"
-            raise LatticeError(
-                f"invalid word graph: {verdict.violation}{detail}")
+            _refuse("word graph", verdict.violation, where)
 
     def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
         """Out-edges indexed by source vertex, each sorted by (dst, label,
@@ -177,6 +184,11 @@ class ConfusionNetwork:
     Each subnetwork's scores sum to 1; every complete path visits every
     subnetwork exactly once, which is structural in this representation.
     Subnetwork dicts are treated as read-only.
+
+    Construction, ``dataclasses.replace`` included, raises ``LatticeError``
+    unless ``validate_cn`` accepts the network.  The message is ``invalid
+    confusion network: <violation>``, followed by ``: <offender>`` when
+    there is one: a subnetwork index, or an ``(index, label)`` pair.
     """
 
     subnetworks: tuple[dict, ...]
@@ -185,6 +197,9 @@ class ConfusionNetwork:
         object.__setattr__(
             self, "subnetworks", tuple(dict(s) for s in self.subnetworks)
         )
+        verdict = validate_cn(self)
+        if not verdict:
+            _refuse("confusion network", verdict.violation, verdict.offender)
 
     def __len__(self):
         return len(self.subnetworks)
@@ -489,7 +504,12 @@ def cn_from_wg(wg: WordGraph, max_paths: int = MAX_PATHS) -> ConfusionNetwork:
 
 
 def validate_cn(cn: ConfusionNetwork) -> Verdict:
-    """Check confusion-network invariants (first violation wins)."""
+    """Check confusion-network invariants (first violation wins).
+
+    Check order: at least one subnetwork, then column by column: the column
+    is not empty, each label (in insertion order) is a symbol with a score
+    in [0, 1], and the scores sum to 1 within ``CN_SUM_TOL``.
+    """
     if len(cn) == 0:
         return Verdict(False, "no subnetworks", None)
     for idx, sub in enumerate(cn.subnetworks):
@@ -507,8 +527,6 @@ def validate_cn(cn: ConfusionNetwork) -> Verdict:
 
 def cn_best_path(cn: ConfusionNetwork) -> SymbolSequence:
     """Per-subnetwork argmax labels (score ties: lexicographically smallest)."""
-    if len(cn) == 0:
-        raise ValueError("empty confusion network")
     labels = []
     scores = []
     for sub in cn.subnetworks:

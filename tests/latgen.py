@@ -13,6 +13,7 @@ from latfuse import (
     WordGraph,
     count_paths,
 )
+from latfuse.formats import _lines
 
 LETTERS = ("a", "b", "c", "d", "e", "f")
 
@@ -131,13 +132,14 @@ MUTATION_TOKENS = ("0", "1", "2", "-1", "9", "0.5", "1.5", "nan", "inf",
 
 
 def mutate_text(text, rng, max_edits=3):
-    """Seeded corruption of a line-based file.
+    """Seeded corruption of a line-based file, split into lines as the
+    parsers split it.
 
     Each of 1..``max_edits`` edits picks a line and deletes, duplicates or
     truncates it, or drops one of its tokens, or replaces one with a
     ``MUTATION_TOKENS`` value.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     for _ in range(int(rng.integers(1, max_edits + 1))):
         if not lines:
             break

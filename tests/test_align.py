@@ -540,10 +540,12 @@ class TestDtw:
                 assert (i1 - i0, j1 - j0) in ((1, 1), (1, 0), (0, 1))
 
     def test_empty_cn(self):
-        from latfuse import ConfusionNetwork
+        # dtw_align never meets an empty network: none can be built
+        from latfuse import ConfusionNetwork, LatticeError
 
-        with pytest.raises(ValueError):
-            dtw_align(ConfusionNetwork(()), ConfusionNetwork([{"a": 1.0}]))
+        with pytest.raises(LatticeError, match="^invalid confusion network: "
+                           "no subnetworks$"):
+            ConfusionNetwork(())
 
     def test_cost_equals_recursion_bit_for_bit(self):
         rng = np.random.default_rng(41)

@@ -86,6 +86,23 @@ class TestFuseCommand:
         assert captured.err == (
             "latfuse fuse: error: argument --sw-match: value must be finite\n")
 
+    def test_overflowing_lambda_exit_3(self, single_path_file, capsys):
+        # the <eps> pair of a completely different column has 2 labels, and
+        # 1 + 1e308 * 2 is inf; this used to end in a ZeroDivisionError
+        img = single_path_file(("a", "b"), fname="li.wg")
+        aud = single_path_file(("a", "c"), fname="la.wg")
+        code = run(["fuse", "--method", "global", "--lambda", "1e308",
+                    "--image", str(img), "--audio", str(aud)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "latfuse: lam 1e+308 times 2 labels overflows\n"
+        # a finite denominator merges: each column is flat, and its exact
+        # tie goes to "<eps>", the smallest label
+        assert run(["fuse", "--method", "global", "--lambda", "1e307",
+                    "--image", str(img), "--audio", str(aud)]) == 0
+        assert capsys.readouterr().out == "a\n"
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--lambda", "nan", "value must be finite"),
         ("--lambda", "inf", "value must be finite"),
@@ -225,6 +242,7 @@ class TestErrorPaths:
         (b"WG x\nV 2\n", 3),
         (b"WG x\r\nV 2\r\nI 0\r", 4),  # CRLF and a lone CR each end a line
         (b"WG \xc3\xa9\n# caf\xc3", 2),  # a sequence cut short
+        (b"WG x\n# a\x0cb\xc2\x85c\n", 3),  # FF and NEL end no line
     ])
     def test_non_utf8_file_exit_2(self, tmp_path, capsys, head, line):
         bad = tmp_path / "bad.wg"
@@ -247,6 +265,16 @@ class TestErrorPaths:
         assert run(["wg-best-path", "--wg", str(bom)]) == 0
         assert capsys.readouterr() == expected
         assert expected.out.startswith("a c\n")
+
+    def test_form_feed_in_a_comment_ends_no_line(self, tmp_path, capsys):
+        good = tmp_path / "ff.wg"
+        good.write_bytes(b"WG x\nV 2\nI 0\nF 1\n# tempo\x0cnote\nE 0 1 a 1\nEND\n")
+        assert run(["wg-best-path", "--wg", str(good)]) == 0
+        assert capsys.readouterr().out == "a\nLOGSCORE 0\n"
+        good.write_bytes(b"WG x\nV 2\nI 0\nF 1\n# tempo\x0cnote\nE 0 1 a 2\nEND\n")
+        assert run(["wg-best-path", "--wg", str(good)]) == 2
+        assert capsys.readouterr().err == (
+            f"latfuse: {good}:6: score '2' outside (0, 1]\n")
 
     def test_byte_order_mark_in_a_reference_file(self, tmp_path, capsys):
         hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"

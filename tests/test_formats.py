@@ -3,6 +3,7 @@ import pytest
 
 from latfuse import BLANK, FormatError, SymbolSequence
 from latfuse.formats import (
+    _lines,
     format_score,
     parse_cns,
     parse_pgs,
@@ -132,6 +133,17 @@ class TestCnFormat:
         with pytest.raises(FormatError):
             parse_cns("CN c\nS\nA a 0.5\nA a 0.5\nEND\n")
 
+    @pytest.mark.parametrize("body, message", [
+        ("S\nA a 0.5\nA b 0.4\n", "subnetwork scores do not sum to 1: 0"),
+        ("S\nA a 1\nS\n", "empty subnetwork: 1"),
+        ("", "no subnetworks"),
+    ], ids=["bad-sum", "empty-subnetwork", "no-subnetworks"])
+    def test_invalid_network_reported_at_head_line(self, body, message):
+        text = f"CN ok\nS\nA a 1\nEND\n# next\nCN bad\n{body}END\n"
+        with pytest.raises(FormatError) as err:
+            parse_cns(text, source="f.cn")
+        assert str(err.value) == f"f.cn:6: invalid confusion network: {message}"
+
 
 class TestPgFormat:
     def test_roundtrip(self):
@@ -256,7 +268,7 @@ class TestMutationFuzz:
             try:
                 parse_word_graphs(text, source="m")
             except FormatError as err:
-                line = text.splitlines()[err.line_no - 1]
+                line = _lines(text)[err.line_no - 1]
                 if "invalid word graph: " in str(err):
                     assert line.split()[0] == "WG"
                     outcomes["invalid"] += 1
@@ -282,6 +294,56 @@ class TestValues:
         with pytest.raises(FormatError) as err:
             read_values(f"1\n# c\n{tok}\n", source="v.txt")
         assert str(err.value) == f"v.txt:3: bad number {tok!r}"
+
+
+class TestLineRule:
+    """Every reader splits lines one way: LF, CRLF and a lone CR end a line,
+    and a leading byte-order mark is skipped."""
+
+    @pytest.mark.parametrize("text, lines", [
+        ("", []),
+        ("\n", [""]),
+        ("a", ["a"]),
+        ("a\nb\n", ["a", "b"]),
+        ("a\r\nb\rc\r", ["a", "b", "c"]),
+        ("a\r\r\nb", ["a", "", "b"]),
+        ("\ufeffa\n\ufeffb", ["a", "\ufeffb"]),
+        ("a\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029c\n",
+         ["a\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029c"]),
+    ], ids=["empty", "one-empty-line", "no-final-newline", "lf", "crlf-and-cr",
+            "cr-then-crlf", "bom-only-at-start", "other-separators"])
+    def test_lines(self, text, lines):
+        assert _lines(text) == lines
+
+    @pytest.mark.parametrize("read, write, make", [
+        (parse_word_graphs, write_wg, random_wg),
+        (parse_cns, write_cn, random_cn),
+        (parse_pgs, write_pg, lambda rng: random_pg(rng, steps=3)),
+    ], ids=["WG", "CN", "PG"])
+    def test_record_parsers_skip_a_byte_order_mark(self, read, write, make):
+        text = write(make(np.random.default_rng(77)), "r")
+        (name, parsed), = read("\ufeff" + text)
+        assert name == "r" and write(parsed, "r") == text
+
+    def test_plain_readers_skip_a_byte_order_mark(self):
+        assert read_values("\ufeff1.5\n2\n") == [1.5, 2.0]
+        assert read_transcriptions("\ufeffa b\n") == [SymbolSequence(("a", "b"))]
+
+    @pytest.mark.parametrize("sep", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_other_separators_do_not_end_a_comment(self, sep):
+        text = f"WG x\nV 2\nI 0\nF 1\n# tempo{sep}note\nE 0 1 a oops\nEND\n"
+        with pytest.raises(FormatError) as err:
+            parse_word_graphs(text, source="ff.wg")
+        assert str(err.value) == "ff.wg:6: bad score 'oops'"
+
+    def test_form_feed_inside_a_value_line(self):
+        with pytest.raises(FormatError) as err:
+            read_values("1\x0c2\n3\n", source="v")
+        assert str(err.value) == r"v:1: bad number '1\x0c2'"
+
+    def test_transcriptions_end_at_crlf_and_lone_cr(self):
+        got = read_transcriptions("a b\r\nc\rd\x0ce\r\n\r")
+        assert [seq.labels for seq in got] == [("a", "b"), ("c",), ("d", "e"), ()]
 
 
 class TestTranscriptions:

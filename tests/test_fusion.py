@@ -263,6 +263,28 @@ class TestGlobal:
         col = merge_subnetworks({"a": 0.6, "b": 0.4}, {"a": 1.0}, 0.5, 1.0)
         assert sum(col.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_merge_subnetworks_overflowing_denominator(self):
+        # 1 + 1e308 * 3 is inf: every smoothed score used to be 0, and the
+        # renormalization divided by a zero total (ZeroDivisionError)
+        with pytest.raises(ValueError,
+                           match=r"^lam 1e\+308 times 3 labels overflows$"):
+            merge_subnetworks({"a": .6, "b": .4}, {"a": 1.0, "c": 0.0},
+                              0.5, 1e308)
+
+    @pytest.mark.parametrize("lam, labels", [(1e308, 1), (1e307, 3),
+                                             (5e-324, 2), (0.25, 4)])
+    def test_merge_subnetworks_finite_denominator(self, lam, labels):
+        # the largest lambdas whose denominator stays finite still merge,
+        # with the documented float operations in the documented order
+        sub_i = {f"x{k}": 1.0 / labels for k in range(labels)}
+        sub_a = {"x0": 1.0, **{f"x{k}": 0.0 for k in range(1, labels)}}
+        denom = 1.0 + lam * labels
+        col = {lab: ((sub_i[lab] + lam) / denom) ** 0.25
+               * ((sub_a[lab] + lam) / denom) ** 0.75 for lab in sorted(sub_i)}
+        total = sum(col.values())
+        assert merge_subnetworks(sub_i, sub_a, 0.25, lam) == {
+            lab: v / total for lab, v in col.items()}
+
     # -0.1 used to give complex scores, -0.5 a ZeroDivisionError, nan nan
     BAD_LAMBDAS = [
         (-0.1, "^lam must be > 0$"),

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from latfuse import (
+    BLANK,
     EPS,
     ConfusionNetwork,
+    FusionConfig,
     LatticeError,
     PathCountExceededError,
+    Posteriorgram,
+    SWParams,
     SymbolSequence,
     Verdict,
     Vocabulary,
@@ -119,7 +123,9 @@ BAD_LABEL = "bad subnetwork label"
 
 class TestValidateCn:
     """Each violation of ``validate_cn`` with its offender; the first one,
-    in column then label order, wins."""
+    in column then label order, wins.  The constructor runs the check, so
+    an invalid network cannot be built: its message names the violation and
+    the offender."""
 
     @pytest.mark.parametrize("subnetworks, violation, offender", [
         ((), "no subnetworks", None),
@@ -142,9 +148,10 @@ class TestValidateCn:
             "sum-above-1", "sum-just-above-tolerance",
             "sum-just-below-tolerance"])
     def test_violation_and_offender(self, subnetworks, violation, offender):
-        verdict = validate_cn(ConfusionNetwork(subnetworks))
-        assert verdict == Verdict(False, violation, offender)
-        assert not verdict
+        detail = "" if offender is None else f": {offender}"
+        expected = re.escape(f"invalid confusion network: {violation}{detail}")
+        with pytest.raises(LatticeError, match=f"^{expected}$"):
+            ConfusionNetwork(subnetworks)
 
     @pytest.mark.parametrize("subnetworks", [
         ({"a": 1.0},),
@@ -153,6 +160,61 @@ class TestValidateCn:
     ], ids=["one-label", "zero-score-and-eps", "sum-inside-tolerance"])
     def test_valid(self, subnetworks):
         assert validate_cn(ConfusionNetwork(subnetworks)) == Verdict(True)
+
+    def test_replace_raises(self):
+        valid = ConfusionNetwork([{"a": 1.0}])
+        with pytest.raises(LatticeError, match="^invalid confusion network: "
+                           "empty subnetwork: 0$"):
+            dataclasses.replace(valid, subnetworks=[{}])
+
+
+class TestIsSymbol:
+    """``_is_symbol`` refuses a label holding any ``isspace()`` character,
+    over all 0x110000 code points."""
+
+    def test_every_whitespace_code_point(self):
+        white = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert len(white) > 20 and "\u3000" in white
+        for ch in white:
+            for lab in (ch, f"a{ch}", f"{ch}a", f"a{ch}b", ch * 2):
+                assert not lattice._is_symbol(lab), repr(lab)
+
+    def test_every_other_code_point_is_a_symbol(self):
+        others = [chr(c) for c in range(0x110000) if not chr(c).isspace()]
+        assert all(map(lattice._is_symbol, others))
+        assert lattice._is_symbol("note-C#4") and not lattice._is_symbol("")
+
+    def test_wrong_type_raises_type_error(self):
+        with pytest.raises(TypeError):
+            lattice._is_symbol(5)
+
+
+# every float field of the validated value types: a builder, and a value
+# it accepts
+FLOAT_FIELDS = {
+    "WordGraph.edge-score": (
+        lambda x: WordGraph(2, 0, {1}, [(0, 1, "a", x)]), 1.0),
+    "ConfusionNetwork.score": (lambda x: ConfusionNetwork([{"a": x}]), 1.0),
+    "ConfusionNetwork.later-score": (lambda x: ConfusionNetwork(
+        [{"a": 1.0}, {"a": 0.5, "b": x}]), 0.5),
+    "Posteriorgram.activation": (
+        lambda x: Posteriorgram((BLANK, "a"), [[x, 0.5]]), 0.5),
+    "SWParams.match_score": (lambda x: SWParams(match_score=x), 2.0),
+    "SWParams.mismatch_penalty": (lambda x: SWParams(mismatch_penalty=x), -1.0),
+    "SWParams.gap_penalty": (lambda x: SWParams(gap_penalty=x), -2.0),
+    "FusionConfig.alpha": (lambda x: FusionConfig(alpha=x), 0.5),
+    "FusionConfig.laplace_lambda": (
+        lambda x: FusionConfig(laplace_lambda=x), 1.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, ok", FLOAT_FIELDS.values(), ids=FLOAT_FIELDS)
+def test_non_finite_float_field_is_refused(build, ok, value):
+    build(ok)
+    with pytest.raises((ValueError, LatticeError)):
+        build(value)
 
 
 VALID_FIELDS = dict(
@@ -715,8 +777,10 @@ class TestCnBestPath:
         assert cn_best_path(cn).labels == ("a",)
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            cn_best_path(ConfusionNetwork(()))
+        # cn_best_path never meets an empty network: none can be built
+        with pytest.raises(LatticeError, match="^invalid confusion network: "
+                           "no subnetworks$"):
+            ConfusionNetwork(())
 
     def test_matches_argmax_oracle(self):
         from latgen import random_cn
