@@ -14,7 +14,9 @@ from operator import ne
 
 import numpy as np
 
-from .lattice import EPS, SymbolSequence, WordGraph, _tie_key, topological_order
+from .lattice import (
+    EPS, SymbolSequence, WordGraph, _path_sequence, _prefix_edges, _tie_key,
+    topological_order)
 
 _FULL = (1 << 64) - 1  # every bit of a uint64 word
 
@@ -347,46 +349,31 @@ def align_seq_to_lattice(
     its edit distance.
 
     Each vertex has a row of ``len(seq) + 1`` entries ``(cost, -logscore,
-    node)``, or None where no alignment arrives.  A node is a back-pointer:
-    node 0 is the initial vertex, and node i extends node ``parent[i]`` by
-    edge ``via[i]``.  Nodes are interned per (parent node, position of the
-    edge in ``wg.out_edges()``), in ``children``, so every alignment of one
-    edge sequence holds the same node, and each edge sequence sums its log
-    scores in path order to the same float.  A move wins on a smaller (cost, -logscore);
-    on an exact tie the same node means the same path and the entry stays,
-    and only two distinct paths with bit-equal sums are compared by their
-    vertex ids and labels, walked from the chains.  The first arrival keeps
-    a full tie.  Label and score tuples are built once, for the winner.
+    node)``, or None where no alignment arrives.  A node is ``_k_best``'s
+    back-pointer entry ``(-logscore, parent, edge)`` plus ``kids``, which
+    interns its extensions by out-edge position, so every alignment of one
+    edge sequence holds the same node and the same log-score sum.  A node
+    is made only for a move that can win.  A move wins on a smaller
+    ``(cost, -logscore)``; on an exact tie the same node keeps the entry,
+    two distinct nodes are ranked by ``_tie_key``, and the first arrival
+    keeps a full tie.
     """
     order = topological_order(wg)
     adj = wg.out_edges()
     toks = _label_tuple(seq)
     n = len(toks)
-    # node 0 is the initial vertex; children[node][k] is the node that
-    # extends it by its vertex's k-th out-edge, 0 until made
-    parent, via, children = [None], [None], [[0] * len(adj[wg.initial])]
-
-    def path_edges(node):
-        edges = []
-        while node:
-            edges.append(via[node])
-            node = parent[node]
-        edges.reverse()
-        return edges
 
     def before(a, b):
         """Path node a ranks before b in the tie order: ``_tie_key``."""
-        return a != b and _tie_key(path_edges(a)) < _tie_key(path_edges(b))
+        return a is not b and _tie_key(_prefix_edges(a)) < _tie_key(_prefix_edges(b))
 
-    def new_node(node, k, e, kids):
-        kids[k] = len(via)
-        parent.append(node)
-        via.append(e)
-        children.append([0] * len(adj[e.dst]))
-        return kids[k]
+    def child(kids, k, nl, node, e):
+        kids[k] = kid = (nl, node, e, [None] * len(adj[e.dst]))
+        return kid
 
     rows = [None] * wg.num_vertices
-    rows[wg.initial] = [(0, 0.0, 0)] + [None] * n
+    root = (0.0, None, None, [None] * len(adj[wg.initial]))
+    rows[wg.initial] = [(0, 0.0, root)] + [None] * n
     for v in order:
         row = rows[v]
         if row is None:
@@ -402,7 +389,7 @@ def align_seq_to_lattice(
                 continue
             cost, neglog, node = st
             c = cost + 1
-            kids = children[node]
+            kids = node[3]
             if j < n:
                 # consume toks[j] against no edge
                 cur = row[j + 1]
@@ -420,13 +407,13 @@ def align_seq_to_lattice(
                     cur = drow[j + 1]
                     if cur is None or cm < cur[0] or (
                             cm == cur[0] and nl <= cur[1]):
-                        kid = kids[k] or new_node(node, k, e, kids)
+                        kid = kids[k] or child(kids, k, nl, node, e)
                         if cur is None or cm < cur[0] or nl < cur[1] or (
                                 before(kid, cur[2])):
                             drow[j + 1] = (cm, nl, kid)
                 cur = drow[j]
                 if cur is None or c < cur[0] or c == cur[0] and nl <= cur[1]:
-                    kid = kids[k] or new_node(node, k, e, kids)
+                    kid = kids[k] or child(kids, k, nl, node, e)
                     if cur is None or c < cur[0] or nl < cur[1] or (
                             before(kid, cur[2])):
                         drow[j] = (c, nl, kid)
@@ -438,9 +425,7 @@ def align_seq_to_lattice(
         if st and (best is None or st[:2] < best[:2]
                    or st[:2] == best[:2] and before(st[2], best[2])):
             best = st
-    edges = path_edges(best[2])
-    return SymbolSequence(tuple(e.label for e in edges),
-                          tuple(e.score for e in edges)), best[0]
+    return _path_sequence(best[2]), best[0]
 
 
 def subnetwork_distance(sub_a: dict, sub_b: dict) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BLANK, Edge, SymbolSequence, WordGraph
+from .lattice import BLANK, Edge, SymbolSequence, WordGraph, _rank_key, _require_count
 
 ROW_SUM_TOL = 1e-6
 
@@ -53,10 +53,11 @@ class Posteriorgram:
         return self.rows.shape[0]
 
 
-def _ranked(pg: Posteriorgram, row: np.ndarray) -> list:
-    """Label indices of one row, most probable first; exact ties go to the
-    smallest label."""
-    return sorted(range(len(pg.labels)), key=lambda i: (-row[i], pg.labels[i]))
+def _ranked(pg: Posteriorgram, row: np.ndarray) -> tuple:
+    """One row as a label -> activation dict, and its labels ranked by
+    ``_rank_key``: most probable first, exact ties to the smallest label."""
+    dist = dict(zip(pg.labels, row.tolist()))
+    return sorted(dist, key=_rank_key(dist)), dist
 
 
 def collapse_map(seq: SymbolSequence) -> SymbolSequence:
@@ -77,7 +78,7 @@ def greedy_decode(pg: Posteriorgram) -> SymbolSequence:
     """
     if pg.num_steps == 0:
         raise ValueError("empty posteriorgram")
-    frame_labels = tuple(pg.labels[_ranked(pg, row)[0]] for row in pg.rows)
+    frame_labels = tuple(_ranked(pg, row)[0][0] for row in pg.rows)
     return collapse_map(SymbolSequence(frame_labels))
 
 
@@ -91,19 +92,16 @@ def posteriorgram_to_wg(
     always kept even when it is the only survivor.  Consumers that need
     transcriptions collapse paths with the CTC mapping afterwards.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_count("k", k)
     if not 0.0 < prob_floor < 1.0:
         raise ValueError("prob_floor must be in (0, 1)")
     if pg.num_steps == 0:
         raise ValueError("empty posteriorgram")
     edges = []
     for t, row in enumerate(pg.rows):
-        ranked = _ranked(pg, row)
-        top = [i for i in ranked[:k] if row[i] >= prob_floor]
-        if not top:
-            top = [ranked[0]]
-        for i in top:
+        ranked, dist = _ranked(pg, row)
+        top = [lab for lab in ranked[:k] if dist[lab] >= prob_floor]
+        for lab in top or ranked[:1]:
             # row sums are only 1 within tolerance, so clamp into (0, 1]
-            edges.append(Edge(t, t + 1, pg.labels[i], float(min(row[i], 1.0))))
+            edges.append(Edge(t, t + 1, lab, min(dist[lab], 1.0)))
     return WordGraph(pg.num_steps + 1, 0, frozenset({pg.num_steps}), tuple(edges))

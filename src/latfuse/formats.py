@@ -14,7 +14,7 @@ import numpy as np
 
 from .ctc import Posteriorgram
 from .errors import FormatError, LatticeError
-from .lattice import ConfusionNetwork, Edge, SymbolSequence, WordGraph
+from .lattice import ConfusionNetwork, Edge, SymbolSequence, WordGraph, _rank_key
 
 
 def format_score(x: float) -> str:
@@ -168,7 +168,7 @@ def write_cn(cn: ConfusionNetwork, name: str = "cn") -> str:
     body = []
     for sub in cn.subnetworks:
         body.append("S")
-        for lab in sorted(sub, key=lambda l: (-sub[l], l)):
+        for lab in sorted(sub, key=_rank_key(sub)):
             body.append(f"A {lab} {format_score(sub[lab])}")
     return _write_record("CN", name, body)
 

@@ -34,7 +34,7 @@ from .lattice import (
     SymbolSequence,
     WordGraph,
     _n_best_posteriors,
-    _require_integer,
+    _require_count,
     best_path,
     cn_best_path,
     cn_from_wg,
@@ -71,9 +71,7 @@ class FusionConfig:
             raise ValueError("laplace_lambda must be finite")
         if self.laplace_lambda <= 0:
             raise ValueError("laplace_lambda must be > 0")
-        _require_integer("max_paths", self.max_paths)
-        if self.max_paths < 1:
-            raise ValueError("max_paths must be >= 1")
+        _require_count("max_paths", self.max_paths)
 
 
 def lattice_hypotheses(wg: WordGraph, max_paths: int) -> dict:

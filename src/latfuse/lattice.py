@@ -55,6 +55,19 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1."""
+    _require_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _rank_key(dist: dict):
+    """The sort key that ranks the labels of ``dist`` (label -> score):
+    highest score first, exact ties to the smaller label."""
+    return lambda lab: (-dist[lab], lab)
+
+
 def _is_symbol(lab) -> bool:
     """A symbol is a non-empty string without whitespace (``str.split`` and
     ``str.isspace`` share one whitespace table); any other type raises
@@ -302,25 +315,26 @@ def enumerate_paths(wg: WordGraph, limit: int) -> list[tuple[SymbolSequence, flo
     """All complete paths with their product scores s_t.
 
     Paths are ordered lexicographically by vertex-id sequence, then by label
-    sequence.  Raises PathCountExceededError when the lattice holds more than
-    ``limit`` paths (use best_path or n_best_paths instead).
+    sequence; same-label parallel copies keep ``out_edges`` order.  Raises
+    PathCountExceededError when the lattice holds more than ``limit`` paths
+    (use best_path or n_best_paths instead); ``limit`` must be an integer
+    >= 1.  The walk is a preorder over ``_k_best``'s back-pointer entries,
+    with the product for a score, on an explicit stack, so a long path
+    needs no recursion.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _require_count("limit", limit)
     total = count_paths(wg)
     if total > limit:
         raise PathCountExceededError(total, limit)
     adj = wg.out_edges()
-    found = []
-
-    def walk(v, ent):  # entries as in _k_best, with the product for a score
+    found, stack = [], [(1.0, None, None)]
+    while stack:
+        ent = stack.pop()
+        v = wg.initial if ent[2] is None else ent[2].dst
         if v in wg.finals:
             found.append(ent)
-            return
-        for e in adj[v]:
-            walk(e.dst, (ent[0] * e.score, ent, e))
-
-    walk(wg.initial, (1.0, None, None))
+        else:
+            stack += [(ent[0] * e.score, ent, e) for e in reversed(adj[v])]
     found.sort(key=lambda ent: _tie_key(_prefix_edges(ent)))
     return [(_path_sequence(ent), ent[0]) for ent in found]
 
@@ -342,9 +356,7 @@ def n_best_paths(wg: WordGraph, n: int) -> list[tuple[SymbolSequence, float]]:
     then label sequence).  Returns all complete paths when the lattice holds
     fewer than ``n``.  ``n`` must be an integer >= 1.
     """
-    _require_integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_count("n", n)
     return _k_best(wg, n)
 
 
@@ -526,11 +538,12 @@ def validate_cn(cn: ConfusionNetwork) -> Verdict:
 
 
 def cn_best_path(cn: ConfusionNetwork) -> SymbolSequence:
-    """Per-subnetwork argmax labels (score ties: lexicographically smallest)."""
+    """Per-subnetwork argmax labels, by ``_rank_key``: score ties go to the
+    lexicographically smallest label."""
     labels = []
     scores = []
     for sub in cn.subnetworks:
-        lab = min(sub, key=lambda l: (-sub[l], l))
+        lab = min(sub, key=_rank_key(sub))
         labels.append(lab)
         scores.append(sub[lab])
     return SymbolSequence(tuple(labels), tuple(scores))

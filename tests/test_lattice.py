@@ -26,6 +26,7 @@ from latfuse import (
     enumerate_paths,
     n_best_paths,
     path_posteriors,
+    posteriorgram_to_wg,
     strip_eps,
     validate_cn,
     validate_wg,
@@ -363,6 +364,38 @@ class TestEnumerate:
             for p in sorted(dfs_paths(wg), key=lambda p: (p[0], p[1]))
         ]
         assert keys == sorted(keys)
+
+    def test_long_chain(self):
+        # one path of 1,200 edges: the walk must not recurse once per edge
+        wg = WordGraph(1201, 0, {1200}, [
+            (v, v + 1, "ab"[v % 2], 0.5 if v % 2 else 1.0) for v in range(1200)])
+        (seq, score), = enumerate_paths(wg, 10)
+        assert seq == best_path(wg)[0]
+        assert score == 0.5 ** 600  # every partial product is exact
+
+
+class TestCountParameters:
+    """``n``, ``limit``, ``k`` and ``max_paths`` share one rule: an integer
+    (a bool is not one) >= 1, each refused with its own name."""
+
+    CALLS = {
+        "n": lambda v: n_best_paths(diamond_wg(), v),
+        "limit": lambda v: enumerate_paths(diamond_wg(), v),
+        "k": lambda v: posteriorgram_to_wg(
+            Posteriorgram((BLANK, "a"), np.array([[0.25, 0.75]])), k=v),
+        "max_paths": lambda v: FusionConfig(max_paths=v),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("value, rule", [
+        (float("nan"), "an integer, not nan"), (2.5, "an integer, not 2.5"),
+        (True, "an integer, not True"), ("3", "an integer, not '3'"),
+        (0, ">= 1"), (np.int64(-1), ">= 1"),
+    ], ids=["nan", "2.5", "True", "'3'", "0", "int64(-1)"])
+    def test_refused(self, name, value, rule):
+        message = re.escape(f"{name} must be {rule}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.CALLS[name](value)
 
 
 class TestBestPath:
@@ -790,6 +823,22 @@ class TestCnBestPath:
         for _ in range(20):
             cn = random_cn(rng)
             assert cn_best_path(cn).labels == column_argmax(cn)
+
+
+class TestRankKey:
+    def test_one_order_for_every_distribution(self):
+        # exact dyadic ties: the smaller label first in the CN best path,
+        # the CN file and a posteriorgram row alike
+        from latfuse.ctc import _ranked
+        from latfuse.formats import write_cn
+
+        sub = {"c": 0.125, "d": 0.375, "b": 0.375, "a": 0.125}
+        assert sorted(sub, key=lattice._rank_key(sub)) == ["b", "d", "a", "c"]
+        assert cn_best_path(ConfusionNetwork([sub])).labels == ("b",)
+        assert write_cn(ConfusionNetwork([sub])).split("\n")[2:6] == [
+            "A b 0.375", "A d 0.375", "A a 0.125", "A c 0.125"]
+        pg = Posteriorgram((BLANK, *sub), np.array([[0.0, *sub.values()]]))
+        assert _ranked(pg, pg.rows[0])[0] == ["b", "d", "a", "c", BLANK]
 
 
 class TestStripEps:
