@@ -8,8 +8,6 @@ per-call scratch space.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
 from operator import ne
 
 import numpy as np
@@ -321,7 +319,16 @@ def _row_dp_alignments(pivot: tuple, others: list) -> list[tuple]:
     return rows
 
 
-_char_ed = lru_cache(maxsize=65536)(edit_distance)
+def _chars(label: str):
+    """A label as the character sequence its edit distance reads.
+
+    ``<eps>`` is "no symbol": one element that equals no character, so its
+    distance is 0 to itself and 1 to anything else once divided by the
+    longer length.
+    """
+    if not label:
+        raise ValueError("tokens must be non-empty")
+    return (None,) if label == EPS else label
 
 
 def normalized_char_ed(a: str, b: str) -> float:
@@ -329,13 +336,8 @@ def normalized_char_ed(a: str, b: str) -> float:
 
     ``<eps>`` is "no symbol": distance 0 to itself and 1 to anything else.
     """
-    if not a or not b:
-        raise ValueError("tokens must be non-empty")
-    if a == EPS or b == EPS:
-        return 0.0 if a == b else 1.0
-    if a == b:
-        return 0.0
-    return _char_ed(a, b) / max(len(a), len(b))
+    xa, xb = _chars(a), _chars(b)
+    return edit_distance(xa, xb) / max(len(xa), len(xb))
 
 
 def align_seq_to_lattice(
@@ -417,6 +419,10 @@ def align_seq_to_lattice(
                     if cur is None or c < cur[0] or nl < cur[1] or (
                             before(kid, cur[2])):
                         drow[j] = (c, nl, kid)
+        if v not in wg.finals:  # nothing reads v's row or its nodes' kids again
+            rows[v] = None
+            for st in filter(None, row):
+                st[2][3].clear()
 
     # a valid graph reaches a final, and every reached final consumes all of seq
     best = None
@@ -448,14 +454,17 @@ def _subnetwork_distances(subs_a, subs_b) -> list:
     """``subnetwork_distance`` of every subnetwork pair, rows by ``subs_a``.
 
     A pair's distance is the sum of ``sa * sb * d`` over its label pairs,
-    with ``d = normalized_char_ed(la, lb)`` (run once per distinct label
-    pair), added one at a time to 0.0 in nested dict order, ``sub_a``
-    outer, skipping ``d == 0``.  Each pair's products are laid out in that
-    order behind one leading 0.0, with 0.0 for a skipped or padding entry
-    (padding has label index -1, whose distance row and column are 0), and
-    ``np.cumsum`` adds them one at a time.  A sum that starts at 0.0 never
-    reads -0.0, so adding 0.0 leaves it as it is, and every float is the
-    one the loop gives, nan and inf included.
+    with ``d = normalized_char_ed(la, lb)``, added one at a time to 0.0 in
+    nested dict order, ``sub_a`` outer, skipping ``d == 0``.  Every distinct
+    label pair's ``d`` comes from one ``edit_distance_matrix`` call over the
+    labels as ``_chars`` sequences, divided by the longer length.  The sums
+    then advance one label-slot pair at a time, in that nested order, over
+    all subnetwork pairs at once; a subnetwork with fewer labels pads its
+    slots with label index -1, whose distance row and column are 0, so it
+    adds 0.0 there.  A sum that starts at 0.0 never reads -0.0, so adding
+    0.0 leaves it as it is, and every float is the one the loop gives, nan
+    and inf included.  Memory grows with the number of subnetwork pairs and
+    of distinct label pairs, not with the labels per subnetwork.
     """
     def padded(subs, ids):
         idx = np.full((len(subs), max(map(len, subs))), -1)
@@ -466,18 +475,19 @@ def _subnetwork_distances(subs_a, subs_b) -> list:
         return idx, score
 
     ids_a, ids_b = {}, {}
-    ia, sa = (x[:, None, :, None] for x in padded(subs_a, ids_a))
-    ib, sb = (x[None, :, None, :] for x in padded(subs_b, ids_b))
+    ia, sa = padded(subs_a, ids_a)
+    ib, sb = padded(subs_b, ids_b)
+    chars_a, chars_b = list(map(_chars, ids_a)), list(map(_chars, ids_b))
     dist = np.zeros((len(ids_a) + 1, len(ids_b) + 1))
-    dist[:-1, :-1] = np.reshape([[normalized_char_ed(la, lb) for lb in ids_b]
-                                 for la in ids_a], (len(ids_a), len(ids_b)))
-    d = dist[ia, ib]
-    n, m, wa, wb = d.shape
-    terms = np.zeros((n, m, 1 + wa * wb))
+    dist[:-1, :-1] = edit_distance_matrix(chars_a, chars_b) / np.maximum.outer(
+        list(map(len, chars_a)), list(map(len, chars_b)))
+    total = np.zeros((len(subs_a), len(subs_b)))
     with np.errstate(all="ignore"):  # as float arithmetic, which never warns
-        terms[:, :, 1:] = np.where(d != 0.0, sa * sb * d,
-                                   0.0).reshape(n, m, wa * wb)
-        return np.cumsum(terms, axis=2)[:, :, -1].tolist()
+        for ja, wa in zip(ia.T, sa.T):
+            for jb, wb in zip(ib.T, sb.T):
+                d = dist[ja[:, None], jb]
+                total += np.where(d != 0.0, wa[:, None] * wb * d, 0.0)
+    return total.tolist()
 
 
 def dtw_align(cn_a, cn_b):
@@ -488,39 +498,36 @@ def dtw_align(cn_a, cn_b):
     then (1,0).  Returns (path, total_cost) where path is the list of
     matched index pairs from (0,0) to (|a|-1, |b|-1); a confusion network
     has at least one subnetwork, so the path does too.
+
+    The accumulated table has an ``inf`` border and 0.0 before (0, 0), so
+    one recurrence, ``c + min(diag, up, left)``, fills every cell, and one
+    rule walks back from the last cell to the one before (0, 0).  Every
+    local cost of a valid network is finite, so the border is never taken
+    elsewhere.  The n·m lists of local costs and of ``acc``, which the
+    backtrace reads, are the inherent quadratic part: about 64 bytes a cell
+    as Python floats.
     """
-    subs_a, subs_b = cn_a.subnetworks, cn_b.subnetworks
-    n, m = len(subs_a), len(subs_b)
-    local = _subnetwork_distances(subs_a, subs_b)
-    # A predecessor outside the matrix counts as inf, and min is taken in
-    # the order diagonal, up, left; min(inf, x) is x except for a nan x.
-    acc = [list(accumulate(local[0], lambda left, c: c + min(math.inf, left)))]
-    for costs in local[1:]:
-        up = acc[-1]
-        left = costs[0] + min(math.inf, up[0])
-        row = [left]
-        for c, diag, above in zip(costs[1:], up, up[1:]):
-            left = c + min(min(diag, above), left)
-            row.append(left)
+    n, m = len(cn_a), len(cn_b)
+    acc = [[0.0] + [math.inf] * m]
+    for costs in _subnetwork_distances(cn_a.subnetworks, cn_b.subnetworks):
+        row = [math.inf]
+        for c, diag, up in zip(costs, acc[-1], acc[-1][1:]):
+            row.append(c + min(diag, up, row[-1]))
         acc.append(row)
-    path = [(n - 1, m - 1)]
-    i, j = n - 1, m - 1
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            best = min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1])
-            if acc[i - 1][j - 1] == best:
-                i, j = i - 1, j - 1
-            elif acc[i - 1][j] == best:
-                i -= 1
-            else:
-                j -= 1
-        elif i > 0:
+    path = []
+    i, j = n, m
+    while i:
+        path.append((i - 1, j - 1))
+        diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+        best = min(diag, up, left)
+        if diag == best:
+            i, j = i - 1, j - 1
+        elif up == best:
             i -= 1
         else:
             j -= 1
-        path.append((i, j))
     path.reverse()
-    return path, acc[n - 1][m - 1]
+    return path, acc[n][m]
 
 
 @dataclass(frozen=True)

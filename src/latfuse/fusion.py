@@ -214,7 +214,18 @@ def combine_cns(
     path: list,
 ) -> ConfusionNetwork:
     """Merge two DTW-aligned confusion networks into one column by column:
-    ``merge_subnetworks`` of each ``_column_pairs`` pair along ``path``."""
+    ``merge_subnetworks`` of each ``_column_pairs`` pair along ``path``.
+
+    ``path`` must be a DTW path over the two networks, as ``dtw_align``
+    returns it: from (0, 0) to (n-1, m-1) in steps of (1, 1), (1, 0) or
+    (0, 1); anything else raises ``ValueError``.
+    """
+    end = (len(cn_i) - 1, len(cn_a) - 1)
+    steps = {(i1 - i0, j1 - j0) for (i0, j0), (i1, j1) in zip(path, path[1:])}
+    if [tuple(p) for p in path[:1] + path[-1:]] != [(0, 0), end] or (
+            not steps <= {(1, 1), (1, 0), (0, 1)}):
+        raise ValueError(f"path must run from (0, 0) to {end} in steps of "
+                         "(1, 1), (1, 0) or (0, 1)")
     return _merge_pairs(_column_pairs(cn_i, cn_a, path), alpha, lam)
 
 

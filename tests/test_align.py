@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from latfuse import (
     EPS,
     AlignmentResult,
+    ConfusionNetwork,
     LatticeError,
     SWParams,
     SymbolSequence,
@@ -32,6 +35,16 @@ RNG_TOKENS = ("a", "b", "c", "d")
 
 def rand_seq(rng, max_len=8):
     return tuple(rng.choice(RNG_TOKENS, size=rng.integers(0, max_len + 1)))
+
+
+def traced_peak(fn, *args):
+    """The ``tracemalloc`` peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEditDistance:
@@ -378,6 +391,19 @@ class TestNormalizedCharEd:
         with pytest.raises(ValueError):
             normalized_char_ed("", "a")
 
+    def test_keeps_nothing_between_calls(self):
+        # no memo: fresh label pairs leave traced memory where it was
+        pairs = [(f"note-{k}", f"rest-{k}_x") for k in range(2000)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for a, b in pairs:
+                normalized_char_ed(a, b)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 2**10
+
 
 class TestSeqToLattice:
     def test_exact_path_costs_zero(self):
@@ -437,6 +463,22 @@ class TestSeqToLattice:
             _, cost = align_seq_to_lattice(SymbolSequence(seq), wg)
             bp, _ = best_path(wg)
             assert cost <= edit_distance(bp, seq)
+
+    def test_peak_grows_with_the_frontier(self):
+        # The sequence is the best path of a 3-wide sausage, so every state
+        # keeps one chain of nodes.  With each expanded vertex's row and its
+        # nodes' extensions released, the peak then grows with n; keeping
+        # every row grows it with n * n.
+        def case(n):
+            edges = [(k, k + 1, f"{lab}{k % 5}", s) for k in range(n)
+                     for lab, s in (("a", 0.5), ("b", 0.3), ("c", 0.2))]
+            seq = SymbolSequence(tuple(f"a{k % 5}" for k in range(n)))
+            return seq, WordGraph(n + 1, 0, {n}, edges)
+
+        traced_peak(align_seq_to_lattice, *case(20))  # one-time allocations
+        small, large = (traced_peak(align_seq_to_lattice, *case(n))
+                        for n in (150, 300))
+        assert large <= 3 * small
 
     def test_no_path(self):
         # a graph without a complete path never reaches align_seq_to_lattice
@@ -563,7 +605,9 @@ class TestDtw:
         # raw subnetworks, so scores no valid network holds (nan, inf, -0.0,
         # negative, huge) reach the sum too
         rng = np.random.default_rng(42)
-        labels = ["a", "b", "ab", "ba", "abc", EPS]
+        # a label of more than 63 characters is a multi-word pattern, and
+        # "eps" and "<eps>x" are ordinary labels
+        labels = ["a", "b", "ab", "ba", "abc", EPS, "ab" * 35, "eps", "<eps>x"]
         odd = [0.0, -0.0, -0.5, float("nan"), float("inf"), -float("inf"),
                1e200, 1e-200]
         for k in range(300):
@@ -583,6 +627,21 @@ class TestDtw:
                     want = subnetwork_distance_by_loop(sa, sb).hex()
                     assert d.hex() == want
                     assert subnetwork_distance(sa, sb).hex() == want
+
+    def test_peak_does_not_grow_with_column_width(self):
+        # the local costs advance one label-slot pair at a time over
+        # (n, m) arrays, so a wider column adds no n * m * width temporary
+        vocab = [f"note-{p}{o}" for p in "ABCDEFG" for o in "345"]
+
+        def cn(shift, widest):
+            cols = [{vocab[(k + shift) % 21]: 0.5,
+                     vocab[(k + shift + 1) % 21]: 0.5} for k in range(100)]
+            cols[50] = {lab: 1 / widest for lab in vocab[:widest]}
+            return ConfusionNetwork(cols)
+
+        narrow, wide = (traced_peak(dtw_align, cn(0, w), cn(3, w))
+                        for w in (2, 8))
+        assert wide < 2 * narrow
 
 
 class TestSmithWaterman:

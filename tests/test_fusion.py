@@ -326,6 +326,32 @@ class TestGlobal:
                            match=r"^alpha must lie strictly inside \(0, 1\)$"):
             combine_cns(cn_i, cn_a, alpha, 1.0, path)
 
+    # skips two audio columns, stops short, runs backwards, leaves the
+    # networks, or is empty
+    BAD_PATHS = [[(0, 0), (1, 2)], [(0, 0)], [(1, 1), (0, 0)],
+                 [(0, 0), (5, 5)], []]
+
+    @pytest.mark.parametrize("path", BAD_PATHS)
+    def test_combine_cns_rejects_a_non_dtw_path(self, path):
+        cn_i = cn_from_wg(single_path_wg(("xa", "xb"), 1.0))
+        cn_a = cn_from_wg(single_path_wg(("xa", "xb", "xc"), 1.0))
+        with pytest.raises(ValueError, match=r"^path must run from \(0, 0\) "
+                           r"to \(1, 2\) in steps of \(1, 1\), \(1, 0\) "
+                           r"or \(0, 1\)$"):
+            combine_cns(cn_i, cn_a, 0.5, 1.0, path)
+
+    def test_combine_cns_takes_every_dtw_path(self):
+        # the five DTW paths over 2 x 3 columns; every label pair shares
+        # its "x", so each step makes one merged column
+        cn_i = cn_from_wg(single_path_wg(("xa", "xb"), 1.0))
+        cn_a = cn_from_wg(single_path_wg(("xa", "xb", "xc"), 1.0))
+        for path in ([(0, 0), (0, 1), (0, 2), (1, 2)],
+                     [(0, 0), (0, 1), (1, 2)],
+                     [(0, 0), (0, 1), (1, 1), (1, 2)],
+                     [(0, 0), (1, 1), (1, 2)],
+                     [(0, 0), (1, 0), (1, 1), (1, 2)]):
+            assert len(combine_cns(cn_i, cn_a, 0.5, 1.0, path)) == len(path)
+
     def test_swap_symmetry_on_close_vocab(self):
         # close tokens keep every pair distance < 1, so no column doubling
         # and no DTW tie ambiguity in practice
