@@ -24,11 +24,17 @@ def _myers_block(eq, pv, mv, hp_in, hm_in, full, top):
 
     Bit k of ``pv``/``mv`` says the pattern DP column steps +1/-1 from row
     k to row k + 1; ``eq`` marks the pattern positions equal to the token.
-    ``hp_in``/``hm_in`` (0 or 1) say the horizontal delta entering the
-    block's lowest row is +1/-1, and the returned pair says the same of the
-    delta leaving its top row (bit ``top``), for the next block (Myers 1999;
-    Hyyrö 2003; edlib's ``calculateBlock``).  ``full`` masks the block's
-    width.  Only ``& | ^ + << >>`` are used, so the same code runs on one
+    ``full`` masks the pattern bits.  They form one pattern, or several
+    segments side by side, each with a clear guard bit above it: the guard
+    absorbs the carry of ``(eq & pv) + pv`` and the top bit that ``ph`` and
+    ``mh`` shift out of the segment, and ``full`` clears it again, so no
+    segment reads its neighbour (Hyyrö, Fredriksson & Navarro 2005).
+    ``hp_in``/``hm_in`` hold the horizontal delta entering each segment's
+    lowest row: a set bit there says +1/-1.  The returned pair says the same
+    of the delta leaving bit ``top`` (0 or 1), for the next block of a
+    pattern that spans several (Myers 1999; Hyyrö 2003; edlib's
+    ``calculateBlock``); with ``top`` None there is no next block, and both
+    are 0.  Only ``& | ^ + << >>`` are used, so the same code runs on one
     Python int of any width and on uint64 numpy arrays of 64-bit words.
     Augmented assignments rebind an int and update an array in place, and
     they only ever update arrays made here, so a call makes few temporaries
@@ -46,7 +52,9 @@ def _myers_block(eq, pv, mv, hp_in, hm_in, full, top):
     ph |= mv  # (mv | ~(xh | pv)) & full
     mh = xh
     mh &= pv  # pv & xh; xh is not read again
-    hp_out, hm_out = ph >> top, mh >> top  # 0 or 1: both are masked by full
+    hp_out = hm_out = 0
+    if top is not None:
+        hp_out, hm_out = ph >> top, mh >> top  # 0 or 1: both are masked by full
     ph <<= 1
     ph |= hp_in
     mh <<= 1
@@ -73,10 +81,10 @@ def edit_distance(a, b) -> int:
     peq = {}
     for k, tok in enumerate(xb):
         peq[tok] = peq.get(tok, 0) | (1 << k)
-    full, top = (1 << len(xb)) - 1, max(len(xb) - 1, 0)
+    full = (1 << len(xb)) - 1
     pv, mv = full, 0
     for tok in xa:
-        pv, mv, _, _ = _myers_block(peq.get(tok, 0), pv, mv, 1, 0, full, top)
+        pv, mv, _, _ = _myers_block(peq.get(tok, 0), pv, mv, 1, 0, full, None)
     return len(xa) + pv.bit_count() - mv.bit_count()
 
 
@@ -97,32 +105,79 @@ def _encode(seqs, ids):
     return mat
 
 
+def _pack(lens):
+    """Next-fit packing of patterns into columns of 64-bit words, in input
+    order.
+
+    A pattern of m <= 63 tokens takes m bits and the guard bit above them in
+    the open column's word, or opens the next column if they do not fit.  A
+    longer pattern opens a column of ``ceil(m / 64)`` words of its own, with
+    no guard, and closes it.  Returns each pattern's column and first bit.
+    """
+    col, start = [], []
+    columns, used = 0, 64  # bits taken in the open column's word: none yet
+    for m in lens:
+        if used + m + 1 > 64:
+            columns, used = columns + 1, 0
+        col.append(columns - 1)
+        start.append(used)
+        used += m + 1
+    return np.array(col, dtype=np.intp), np.array(start, dtype=np.int64)
+
+
 def edit_distance_matrix(cands, refs) -> np.ndarray:
     """Pairwise Levenshtein distances, candidates by rows, refs by columns.
 
     Equivalent to nested ``edit_distance`` calls (tokens must be hashable)
-    but batched: the refs are the bit-vector pattern, in 64-bit words, and
-    each candidate token advances a whole (prefix, ref) row of pairs
-    through ``_myers_block`` at once.  Candidates sharing a prefix share its
-    rows: sorted with ``np.lexsort`` they fall into contiguous groups, and
-    at depth i each distinct length-i prefix advances once, from its parent
-    prefix's row.  A candidate's distances are read from its own prefix row
-    at its own length.  This is what makes risk evaluation over hundreds of
-    lattice paths affordable.
+    but batched: the refs are the bit-vector pattern, and each candidate
+    token advances a whole (prefix, column) row of words through
+    ``_myers_block`` at once.  The distinct sequences of both sides are
+    interned once, by one ``_encode``, and each ref is a row of that id
+    matrix.
+
+    Several refs share a 64-bit word (``_pack``, next-fit in input order): a
+    ref of m <= 63 tokens is a segment of m bits with a guard bit above it.
+    The ``FULL`` mask (``full``, per word and column) holds the segments'
+    bits, clearing the guards, and ``LOW`` (``low``, per column) each
+    segment's lowest bit, which every segment has in its column's first
+    word: the +1 of the empty pattern prefix enters there.  A ref of more
+    than 63 tokens takes a column of words to itself, which pass the deltas
+    leaving each word's top bit on to the next, and a column of short refs
+    has no bits above its first word, so one loop over the masks serves
+    both.  A ref's distance is read from its own bits by one masked popcount
+    per word.
+
+    Candidates sharing a prefix share its rows: sorted with ``np.lexsort``
+    they fall into contiguous groups, and at depth i each distinct length-i
+    prefix advances once, from its parent prefix's row.  A candidate's
+    distances are read from its own prefix row at its own length.  This is
+    what makes risk evaluation over hundreds of lattice paths affordable.
     """
     cand_seqs = [_label_tuple(c) for c in cands]
     ref_seqs = [_label_tuple(r) for r in refs]
+    row = {}  # distinct sequence -> its row of the id matrix
+    for s in cand_seqs + ref_seqs:
+        row.setdefault(s, len(row))
     ids = {}
-    rmat, cmat = _encode(ref_seqs, ids), _encode(cand_seqs, ids)
-    # peq[w, t, r]: bits of ref r's word w that hold token t.  Padding (-1)
-    # lands in the extra last row, which is cleared so it matches nothing.
-    peq = np.zeros((-(-rmat.shape[1] // 64), len(ids) + 1, len(ref_seqs)),
+    mat = _encode(list(row), ids)
+    depth = max(map(len, cand_seqs), default=0)
+    cmat = mat[np.array([row[s] for s in cand_seqs], dtype=np.intp), :depth]
+    rmat = mat[np.array([row[s] for s in ref_seqs], dtype=np.intp)]
+    col, start = _pack(map(len, ref_seqs))
+    r, k = np.nonzero(rmat >= 0)
+    bit = start[r] + k  # a ref's token k is bit start + k of its column
+    word, one = bit // 64, np.uint64(1) << (bit % 64).astype(np.uint64)
+    # peq[w, t, c]: bits of column c's word w that hold token t, and
+    # seg[w, r]: ref r's bits in word w.  The refs of one column hold
+    # distinct bits, so or-ing them in is unambiguous.
+    peq = np.zeros((word.max(initial=0) + 1, len(ids), col.max(initial=-1) + 1),
                    dtype=np.uint64)
-    ref_idx = np.arange(len(ref_seqs))
-    for k in range(rmat.shape[1]):
-        peq[k // 64, rmat[:, k], ref_idx] |= np.uint64(1 << (k % 64))
-    peq[:, -1] = 0
-    valid = np.bitwise_or.reduce(peq, axis=1)
+    np.bitwise_or.at(peq, (word, rmat[r, k], col[r]), one)
+    seg = np.zeros((len(peq), len(ref_seqs)), dtype=np.uint64)
+    np.bitwise_or.at(seg, (word, r), one)
+    full = np.bitwise_or.reduce(peq, axis=1)
+    low = np.zeros(peq.shape[2], dtype=np.uint64)
+    np.bitwise_or.at(low, col, np.uint64(1) << start.astype(np.uint64))
     # padding sorts first, so a prefix comes before its extensions
     order = (np.lexsort(cmat.T[::-1]) if cmat.size
              else np.arange(len(cand_seqs)))
@@ -130,40 +185,45 @@ def edit_distance_matrix(cands, refs) -> np.ndarray:
     clens = np.count_nonzero(cmat >= 0, axis=1)
     # new[r, i]: sorted candidate r is the first with its length-i prefix;
     # prefix[r, i] numbers that prefix's row at depth i (one row at depth 0)
-    differs = np.ones((len(cand_seqs), cmat.shape[1] + 1), dtype=bool)
+    differs = np.ones((len(cand_seqs), depth + 1), dtype=bool)
     differs[1:, 0] = False
     differs[1:, 1:] = np.logical_or.accumulate(cmat[1:] != cmat[:-1], axis=1)
-    new = differs & (clens[:, None] >= np.arange(cmat.shape[1] + 1))
+    new = differs & (clens[:, None] >= np.arange(depth + 1))
     prefix = np.cumsum(new, axis=0) - 1
-    pv = [np.full((1, len(ref_seqs)), _FULL, dtype=np.uint64)] * len(peq)
-    mv = [np.zeros((1, len(ref_seqs)), dtype=np.uint64)] * len(peq)
+    pv = [f[None] for f in full]
+    mv = [np.zeros_like(f[None]) for f in full]
     out = np.zeros((len(cand_seqs), len(ref_seqs)), dtype=np.int64)
-    for i in range(cmat.shape[1] + 1):
+    for i in range(depth + 1):
         if i:
             heads = np.flatnonzero(new[:, i])
             parent = prefix[heads, i - 1]
             pv, mv = _advance_words(peq[:, cmat[heads, i - 1]],
                                     [p[parent] for p in pv],
-                                    [m[parent] for m in mv])
+                                    [m[parent] for m in mv], full, low)
         done = np.flatnonzero(clens == i)
         if done.size:
-            rows = prefix[done, i]
+            rows = prefix[done, i][:, None]
             out[order[done]] = _read_out(
-                i, [p[rows] for p in pv], [m[rows] for m in mv], valid)
+                i, [p[rows, col] for p in pv], [m[rows, col] for m in mv], seg)
     return out
 
 
-def _advance_words(eqs, pvs, mvs):
-    """One text token through a pattern held in 64-bit words, low word first.
+def _advance_words(eqs, pvs, mvs, fulls, low):
+    """One text token through patterns held in columns of 64-bit words, low
+    word first.
 
-    ``eqs``, ``pvs`` and ``mvs`` hold one array per word; each word passes
-    the horizontal delta leaving its top bit to the next word.  Returns the
-    new ``(pvs, mvs)`` lists.
+    ``eqs``, ``pvs`` and ``mvs`` hold one array per word, ``fulls`` each
+    word's mask of pattern bits, and ``low`` the first word's bits where a
+    pattern starts: the empty pattern prefix costs one more per token, so a
+    +1 enters there.  Each word but the last passes the horizontal delta
+    leaving its top bit to the next word.  Returns the new ``(pvs, mvs)``
+    lists.
     """
-    hp, hm = 1, 0  # the empty pattern prefix costs one more per token
+    hp, hm = low, 0
     new_pv, new_mv = [], []
-    for eq, pv, mv in zip(eqs, pvs, mvs):
-        pv, mv, hp, hm = _myers_block(eq, pv, mv, hp, hm, _FULL, 63)
+    tops = [63] * (len(fulls) - 1) + [None]
+    for eq, pv, mv, full, top in zip(eqs, pvs, mvs, fulls, tops):
+        pv, mv, hp, hm = _myers_block(eq, pv, mv, hp, hm, full, top)
         new_pv.append(pv)
         new_mv.append(mv)
     return new_pv, new_mv
@@ -218,6 +278,7 @@ def _paired_distances(eq, text_lens, pattern_lens) -> np.ndarray:
     # (1 << bits) - 1 per word; a uint64 shifts by at most 63
     low = np.uint64(1) << np.minimum(bits, 63).astype(np.uint64)
     valid = np.where(bits == 64, np.uint64(_FULL), low - np.uint64(1))
+    full = [_FULL] * len(eq)
     pv = [np.full(len(order), _FULL, dtype=np.uint64)] * len(eq)
     mv = [np.zeros(len(order), dtype=np.uint64)] * len(eq)
     out = np.empty(len(order), dtype=np.int64)
@@ -230,7 +291,7 @@ def _paired_distances(eq, text_lens, pattern_lens) -> np.ndarray:
             pv, mv = [p[:c] for p in pv], [m[:c] for m in mv]
             live = c
         if c:
-            pv, mv = _advance_words(eq[:, :c, i], pv, mv)
+            pv, mv = _advance_words(eq[:, :c, i], pv, mv, full, 1)
     return out
 
 
@@ -440,18 +501,23 @@ def subnetwork_distance(sub_a: dict, sub_b: dict) -> float:
     Posterior-weighted mean over label pairs; equals 1 exactly when every
     cross pair of labels is completely different.
     """
-    return _subnetwork_distances([sub_a], [sub_b])[0][0]
+    return _subnetwork_distances([sub_a], [sub_b])[0][0][0]
 
 
 def completely_different(sub_a: dict, sub_b: dict) -> bool:
-    """True iff every label pair across the two subnetworks has distance 1."""
+    """True iff every label pair across the two subnetworks has distance 1.
+
+    ``global`` fusion reads the same test from its DTW label table
+    (``_subnetwork_distances``); this is the rule written out pair by pair.
+    """
     return all(
         normalized_char_ed(la, lb) == 1.0 for la in sub_a for lb in sub_b
     )
 
 
-def _subnetwork_distances(subs_a, subs_b) -> list:
-    """``subnetwork_distance`` of every subnetwork pair, rows by ``subs_a``.
+def _subnetwork_distances(subs_a, subs_b) -> tuple:
+    """``subnetwork_distance`` of every subnetwork pair, rows by ``subs_a``,
+    and whether the pair is ``completely_different``.
 
     A pair's distance is the sum of ``sa * sb * d`` over its label pairs,
     with ``d = normalized_char_ed(la, lb)``, added one at a time to 0.0 in
@@ -463,7 +529,9 @@ def _subnetwork_distances(subs_a, subs_b) -> list:
     slots with label index -1, whose distance row and column are 0, so it
     adds 0.0 there.  A sum that starts at 0.0 never reads -0.0, so adding
     0.0 leaves it as it is, and every float is the one the loop gives, nan
-    and inf included.  Memory grows with the number of subnetwork pairs and
+    and inf included.  The same loop counts each pair's label pairs at
+    ``d == 1.0``; a pair is completely different when that count is all of
+    its label pairs.  Memory grows with the number of subnetwork pairs and
     of distinct label pairs, not with the labels per subnetwork.
     """
     def padded(subs, ids):
@@ -482,22 +550,28 @@ def _subnetwork_distances(subs_a, subs_b) -> list:
     dist[:-1, :-1] = edit_distance_matrix(chars_a, chars_b) / np.maximum.outer(
         list(map(len, chars_a)), list(map(len, chars_b)))
     total = np.zeros((len(subs_a), len(subs_b)))
+    far = np.zeros(total.shape, dtype=np.int64)  # label pairs at d == 1.0
     with np.errstate(all="ignore"):  # as float arithmetic, which never warns
         for ja, wa in zip(ia.T, sa.T):
             for jb, wb in zip(ib.T, sb.T):
                 d = dist[ja[:, None], jb]
                 total += np.where(d != 0.0, wa[:, None] * wb * d, 0.0)
-    return total.tolist()
+                far += d == 1.0
+    apart = far == np.outer(list(map(len, subs_a)), list(map(len, subs_b)))
+    return total.tolist(), apart.tolist()
 
 
-def dtw_align(cn_a, cn_b):
+def dtw_align(cn_a, cn_b, *, apart=None):
     """DTW warping path over two confusion networks' subnetwork indices.
 
     The local cost is ``subnetwork_distance``.  Steps are (1,1), (1,0),
     (0,1) with both endpoints matched; ties during backtrace prefer (1,1),
     then (1,0).  Returns (path, total_cost) where path is the list of
     matched index pairs from (0,0) to (|a|-1, |b|-1); a confusion network
-    has at least one subnetwork, so the path does too.
+    has at least one subnetwork, so the path does too.  A list passed as
+    ``apart`` receives one row per subnetwork of ``cn_a``: whether each pair
+    is ``completely_different``, read off the same label table, for
+    ``global`` fusion to split matched pairs by.
 
     The accumulated table has an ``inf`` border and 0.0 before (0, 0), so
     one recurrence, ``c + min(diag, up, left)``, fills every cell, and one
@@ -508,8 +582,11 @@ def dtw_align(cn_a, cn_b):
     as Python floats.
     """
     n, m = len(cn_a), len(cn_b)
+    local, far = _subnetwork_distances(cn_a.subnetworks, cn_b.subnetworks)
+    if apart is not None:
+        apart.extend(far)
     acc = [[0.0] + [math.inf] * m]
-    for costs in _subnetwork_distances(cn_a.subnetworks, cn_b.subnetworks):
+    for costs in local:
         row = [math.inf]
         for c, diag, up in zip(costs, acc[-1], acc[-1][1:]):
             row.append(c + min(diag, up, row[-1]))

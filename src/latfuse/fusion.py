@@ -21,8 +21,8 @@ import numpy as np
 
 from .align import (
     SWParams,
+    _subnetwork_distances,
     align_seq_to_lattice,
-    completely_different,
     dtw_align,
     edit_distance_matrix,
     smith_waterman,
@@ -86,12 +86,22 @@ def lattice_hypotheses(wg: WordGraph, max_paths: int) -> dict:
     return grouped
 
 
-def _risk(cands: list, hyp: dict) -> tuple:
-    """Each candidate's posterior-weighted edit distance to the paths of
-    ``hyp`` (label tuple -> posterior), and its own posterior there."""
-    refs = sorted(hyp)
-    risk = edit_distance_matrix(cands, refs) @ np.array([hyp[r] for r in refs])
-    return risk, np.array([hyp.get(c, 0.0) for c in cands])
+def _risks(cands: list, hyps: list) -> list:
+    """Per hypothesis set in ``hyps`` (label tuple -> posterior): each
+    candidate's posterior-weighted edit distance to its paths, and the
+    candidate's own posterior there.
+
+    One ``edit_distance_matrix`` call takes every set's paths, in sorted
+    order, as refs side by side; each set reads its own columns.
+    """
+    refs = [sorted(hyp) for hyp in hyps]
+    dist = edit_distance_matrix(cands, [r for side in refs for r in side])
+    out, lo = [], 0
+    for hyp, side in zip(hyps, refs):
+        risk = dist[:, lo:lo + len(side)] @ np.array([hyp[r] for r in side])
+        out.append((risk, np.array([hyp.get(c, 0.0) for c in cands])))
+        lo += len(side)
+    return out
 
 
 def _least_risk(cands: list, risk, post) -> SymbolSequence:
@@ -106,15 +116,18 @@ class MbrTables:
     Minimum-expected-risk fusion: the candidate set is the union of the two
     lattices' path label sequences; the risk of a candidate is its
     posterior-weighted edit distance to each lattice's paths, mixed with
-    weight ``alpha`` on the image side by ``decode``.
+    weight ``alpha`` on the image side by ``decode``.  Both sides' risks
+    come from one ``edit_distance_matrix`` call, whose refs are the image
+    paths then the audio paths, so the candidates are interned and their
+    prefixes advanced once per lattice pair.
     """
 
     def __init__(self, wg_i: WordGraph, wg_a: WordGraph, max_paths: int):
         hyp_i = lattice_hypotheses(wg_i, max_paths)
         hyp_a = lattice_hypotheses(wg_a, max_paths)
         self.candidates = sorted(set(hyp_i) | set(hyp_a))
-        self.risk_i, self._cand_post_i = _risk(self.candidates, hyp_i)
-        self.risk_a, self._cand_post_a = _risk(self.candidates, hyp_a)
+        (self.risk_i, self._cand_post_i), (self.risk_a, self._cand_post_a) = (
+            _risks(self.candidates, [hyp_i, hyp_a]))
 
     def decode(self, alpha: float) -> SymbolSequence:
         """Candidate with minimum alpha-weighted expected edit distance,
@@ -129,7 +142,7 @@ def mbr_decode(wg: WordGraph, max_paths: int = MAX_PATHS) -> SymbolSequence:
     """Unimodal minimum-risk decode: the set-median path of one lattice."""
     hyp = lattice_hypotheses(wg, max_paths)
     refs = sorted(hyp)
-    return _least_risk(refs, *_risk(refs, hyp))
+    return _least_risk(refs, *_risks(refs, [hyp])[0])
 
 
 def fuse_lightly(wg_src: WordGraph, wg_corr: WordGraph) -> SymbolSequence:
@@ -173,13 +186,15 @@ def merge_subnetworks(sub_i: dict, sub_a: dict, alpha: float, lam: float) -> dic
     return col
 
 
-def _column_pairs(cn_i: ConfusionNetwork, cn_a: ConfusionNetwork, path: list) -> list:
+def _column_pairs(cn_i: ConfusionNetwork, cn_a: ConfusionNetwork, path: list,
+                  apart: list) -> list:
     """The ``(image, audio)`` subnetwork pair behind each merged column.
 
     Walks the ``dtw_align`` warping path: a diagonal step pairs the matched
-    subnetworks, or, if they are completely different, pairs each with the
-    unit-weight ``<eps>`` subnetwork (image first); any other step pairs one
-    subnetwork with ``<eps>`` on the missing side.  Independent of alpha.
+    subnetworks, or, if they are completely different (``apart[i][j]``, as
+    ``dtw_align`` fills it), pairs each with the unit-weight ``<eps>``
+    subnetwork (image first); any other step pairs one subnetwork with
+    ``<eps>`` on the missing side.  Independent of alpha.
     """
     subs_i, subs_a = cn_i.subnetworks, cn_a.subnetworks
     pairs = []
@@ -187,7 +202,7 @@ def _column_pairs(cn_i: ConfusionNetwork, cn_a: ConfusionNetwork, path: list) ->
     for i, j in path:
         matched = prev is None or (i - prev[0], j - prev[1]) == (1, 1)
         if matched:
-            if completely_different(subs_i[i], subs_a[j]):
+            if apart[i][j]:
                 pairs.append((subs_i[i], _EPS_SUBNETWORK))
                 pairs.append((_EPS_SUBNETWORK, subs_a[j]))
             else:
@@ -226,7 +241,8 @@ def combine_cns(
             not steps <= {(1, 1), (1, 0), (0, 1)}):
         raise ValueError(f"path must run from (0, 0) to {end} in steps of "
                          "(1, 1), (1, 0) or (0, 1)")
-    return _merge_pairs(_column_pairs(cn_i, cn_a, path), alpha, lam)
+    apart = _subnetwork_distances(cn_i.subnetworks, cn_a.subnetworks)[1]
+    return _merge_pairs(_column_pairs(cn_i, cn_a, path, apart), alpha, lam)
 
 
 def _prepare_global(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
@@ -234,8 +250,9 @@ def _prepare_global(wg_i: WordGraph, wg_a: WordGraph, cfg: FusionConfig):
     strip ``<eps>`` per alpha."""
     cn_i = cn_from_wg(wg_i, cfg.max_paths)
     cn_a = cn_from_wg(wg_a, cfg.max_paths)
-    path, _ = dtw_align(cn_i, cn_a)
-    pairs = _column_pairs(cn_i, cn_a, path)
+    apart = []
+    path, _ = dtw_align(cn_i, cn_a, apart=apart)
+    pairs = _column_pairs(cn_i, cn_a, path, apart)
 
     def decode(alpha: float) -> SymbolSequence:
         merged = _merge_pairs(pairs, alpha, cfg.laplace_lambda)

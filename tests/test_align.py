@@ -22,7 +22,8 @@ from latfuse import (
 from latfuse import align as align_module
 from latfuse import simulate
 from latfuse.align import (
-    _align_to_pivot, _encode, _pair_masks, _paired_distances, edit_distance_matrix,
+    _align_to_pivot, _encode, _pack, _pair_masks, _paired_distances,
+    completely_different, edit_distance_matrix,
 )
 from latgen import random_cn, random_sw_case, random_wg
 from oracles import (
@@ -282,6 +283,72 @@ class TestPrefixSharedKernel:
             assert (got == base[perm]).all()
         for c, row in zip(cands, base.tolist()):
             assert row == [edit_distance(c, r) for r in refs]
+
+
+def near_cands(rng, refs, alphabet, count):
+    """Candidates a few edits from the refs, or of any length up to 70, so
+    that a batch holds close pairs as well as far ones."""
+    out = []
+    for _ in range(count):
+        if refs and rng.random() < 0.6:
+            ref = refs[int(rng.integers(0, len(refs)))]
+            out.append(mutate(rng, ref, alphabet, int(rng.integers(0, 6))))
+        else:
+            out.append(tuple(rng.choice(alphabet, size=rng.integers(0, 71))))
+    return out
+
+
+class TestPackedRefs:
+    # edit_distance_matrix packs each ref of at most 63 tokens into the open
+    # 64-bit word as its tokens' bits plus a guard bit above them, next-fit
+    # in input order; a longer ref takes a column of words to itself
+
+    def check(self, cands, refs):
+        want = [[simple_ed(c, r) for r in refs] for c in cands]
+        assert edit_distance_matrix(cands, refs).tolist() == want
+
+    def test_layout(self):
+        col, start = _pack([31, 31, 0, 63, 64, 5, 0, 2, 130, 1])
+        assert col.tolist() == [0, 0, 1, 2, 3, 4, 4, 4, 5, 6]
+        assert start.tolist() == [0, 32, 0, 0, 0, 0, 6, 7, 0, 0]
+
+    @pytest.mark.parametrize("lens", [(31, 31), (63,), (10, 20, 31), (62, 0)])
+    def test_guard_at_bit_63(self, lens):
+        # each of these fills one word exactly: its last guard is bit 63
+        rng = np.random.default_rng(sum(lens))
+        col, start = _pack(lens)
+        assert set(col.tolist()) == {0} and start[-1] + lens[-1] == 63
+        for alphabet in (RNG_TOKENS[:1], RNG_TOKENS[:2], RNG_TOKENS):
+            refs = [tuple(rng.choice(alphabet, size=n)) for n in lens]
+            self.check(near_cands(rng, refs, alphabet, 12), refs)
+
+    def test_64_token_ref_next_to_short_refs(self):
+        rng = np.random.default_rng(71)
+        for alphabet in (RNG_TOKENS[:2], RNG_TOKENS):
+            refs = [tuple(rng.choice(alphabet, size=n))
+                    for n in (5, 30, 64, 12, 0, 64, 63)]
+            self.check(near_cands(rng, refs, alphabet, 12), refs)
+
+    def test_empty_refs_between_non_empty(self):
+        rng = np.random.default_rng(72)
+        refs = [(), tuple("abc"), (), (), tuple("cab" * 10), (), tuple("b")]
+        self.check(near_cands(rng, refs, RNG_TOKENS[:3], 10) + [()], refs)
+
+    def test_duplicate_refs_and_refs_not_among_cands(self):
+        rng = np.random.default_rng(73)
+        cands = near_cands(rng, [], RNG_TOKENS, 8)
+        refs = [cands[0], cands[0], ("x", "y"), cands[3], ("x", "y"),
+                tuple(rng.choice(RNG_TOKENS, size=40)), cands[3]]
+        self.check(cands, refs)
+
+    def test_short_and_multi_word_refs_in_one_batch(self):
+        rng = np.random.default_rng(74)
+        for _ in range(20):
+            alphabet = RNG_TOKENS[: int(rng.integers(1, 5))]
+            refs = [tuple(rng.choice(alphabet, size=rng.choice(
+                (0, 1, 7, 31, 32, 62, 63, 64, 65, 127, 128, 129))))
+                for _ in range(int(rng.integers(1, 12)))]
+            self.check(near_cands(rng, refs, alphabet, 8), refs)
 
 
 class TestPivotAlignment:
@@ -601,6 +668,20 @@ class TestDtw:
             _, cost = dtw_align(a, b)
             assert cost.hex() == dtw_min_cost(local).hex()
 
+    def test_apart_rows_are_completely_different(self):
+        # labels one or two characters apart, so label pairs fall at
+        # distances 0, 1/2 and 1
+        rng = np.random.default_rng(43)
+        vocab = ["a", "b", "ab", "ba", "bb", "xa", "xb"]
+        for _ in range(100):
+            a = random_cn(rng, max_len=8, vocab=vocab)
+            b = random_cn(rng, max_len=8, vocab=vocab)
+            apart = []
+            path, cost = dtw_align(a, b, apart=apart)
+            assert (path, cost) == dtw_align(a, b)
+            assert apart == [[completely_different(sa, sb) for sb in b.subnetworks]
+                             for sa in a.subnetworks]
+
     def test_local_costs_are_the_loop_bit_for_bit(self):
         # raw subnetworks, so scores no valid network holds (nan, inf, -0.0,
         # negative, huge) reach the sum too
@@ -621,12 +702,13 @@ class TestDtw:
                 return out
 
             subs_a, subs_b = subs(), subs()
-            got = align_module._subnetwork_distances(subs_a, subs_b)
-            for sa, row in zip(subs_a, got):
-                for sb, d in zip(subs_b, row):
+            got, apart = align_module._subnetwork_distances(subs_a, subs_b)
+            for sa, row, apart_row in zip(subs_a, got, apart):
+                for sb, d, far in zip(subs_b, row, apart_row):
                     want = subnetwork_distance_by_loop(sa, sb).hex()
                     assert d.hex() == want
                     assert subnetwork_distance(sa, sb).hex() == want
+                    assert far == completely_different(sa, sb)
 
     def test_peak_does_not_grow_with_column_width(self):
         # the local costs advance one label-slot pair at a time over

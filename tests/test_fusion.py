@@ -22,7 +22,10 @@ from latfuse import (
     run_fusion,
     strip_eps,
 )
-from latfuse.fusion import PREPARE_METHOD
+from latfuse import align as align_module
+from latfuse import fusion as fusion_module
+from latfuse.align import edit_distance_matrix
+from latfuse.fusion import PREPARE_METHOD, MbrTables
 from latgen import CLOSE_TOKENS, random_sw_case, random_wg
 from oracles import (
     dfs_paths, mbr_by_enumeration, merge_by_take, nearest_path_by_enumeration,
@@ -146,6 +149,30 @@ class TestMbr:
             rev = run_fusion(wg_a, wg_i, cfg(1.0 - alpha))
             assert fwd == rev
 
+    def test_one_kernel_call_per_pair(self, monkeypatch):
+        # both sides' risks come from one edit_distance_matrix call, the
+        # image paths then the audio paths as refs, and equal the risks of
+        # one call per side bit for bit
+        rng = np.random.default_rng(56)
+        refs_seen = []
+
+        def kernel(cands, refs):
+            refs_seen.append(list(refs))
+            return edit_distance_matrix(cands, refs)
+
+        monkeypatch.setattr(fusion_module, "edit_distance_matrix", kernel)
+        for _ in range(20):
+            wg_i, wg_a = random_wg(rng), random_wg(rng)
+            refs_seen.clear()
+            tables = MbrTables(wg_i, wg_a, 100)
+            hyps = [lattice_hypotheses(wg, 100) for wg in (wg_i, wg_a)]
+            assert refs_seen == [sorted(hyps[0]) + sorted(hyps[1])]
+            for risk, hyp in zip((tables.risk_i, tables.risk_a), hyps):
+                refs = sorted(hyp)
+                want = edit_distance_matrix(tables.candidates, refs) @ np.array(
+                    [hyp[r] for r in refs])
+                assert [x.hex() for x in risk] == [x.hex() for x in want]
+
     def test_nbest_truncation_renormalizes(self):
         rng = np.random.default_rng(55)
         wg = random_wg(rng, max_paths=60)
@@ -239,6 +266,26 @@ class TestGlobal:
         assert run_fusion(wg_i, wg_a, cfg(0.7)).labels == ("a", "b")
         assert run_fusion(wg_i, wg_a, cfg(0.3)).labels == ("x", "y")
         assert run_fusion(wg_i, wg_a, cfg(0.5)).labels == ()
+
+    def test_prepare_reads_the_dtw_label_table(self, monkeypatch):
+        # the completely-different test along the path comes from the DTW's
+        # label table: single-path lattices need no pivot alignment either,
+        # so the prepare makes no edit_distance call at all
+        def refuse(*args):
+            raise AssertionError("edit_distance called")
+
+        wg_i = single_path_wg(("ab", "b", "cd"), 1.0)
+        wg_a = single_path_wg(("xy", "ba", "c"), 1.0)
+        monkeypatch.setattr(align_module, "edit_distance", refuse)
+        decode = PREPARE_METHOD["global"](wg_i, wg_a, GLOBAL)
+        monkeypatch.undo()
+        assert decode(0.7).labels == ("ab", "b", "cd")
+        assert decode(0.3).labels == ("xy", "ba", "c")
+        cn_i, cn_a = cn_from_wg(wg_i), cn_from_wg(wg_a)
+        path, _ = dtw_align(cn_i, cn_a)
+        # "ab"/"xy" share nothing; "b"/"ba" and "cd"/"c" are one edit apart
+        assert path == [(0, 0), (1, 1), (2, 2)]
+        assert len(combine_cns(cn_i, cn_a, 0.5, 1.0, path)) == 4
 
     def test_diamond_vs_linear_trace(self):
         # worked trace: c_i = [{a:.6, b:.4}, {c:1}], c_a = [{a:1}, {c:1}];
