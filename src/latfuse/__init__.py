@@ -59,6 +59,7 @@ from .metrics import (
     WilcoxonResult,
     result_line,
     ser,
+    wilcoxon_line,
     wilcoxon_signed_rank,
 )
 from .simulate import (

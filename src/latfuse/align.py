@@ -264,34 +264,26 @@ def _paired_distances(eq, text_lens, pattern_lens) -> np.ndarray:
     """Levenshtein distance of each (text k, pattern k) pair, as int64.
 
     ``eq`` is ``_pair_masks``'s ``(W, n, T)`` output: ``eq[:, k, i]`` holds
-    text k's token i against pattern k.  Column k of the bit vectors is pair
-    k, advanced by its own text only.  The columns are sorted by text
-    length, longest first, so step i advances the first ``count(len > i)``
-    of them, and a column's distance is read when its text ends.  Patterns
-    longer than 63 tokens span several words, with ``edit_distance_matrix``'s
-    word carry.
+    text k's token i against pattern k, and ``T`` is at least the longest
+    text.  Column k of the words is pair k alone.  Step i advances every
+    column by its text's token i, and a column's distance is read, as in
+    ``edit_distance_matrix``, at the step where its text ends; what a column
+    meets past its own length is never read.  Patterns longer than 63 tokens
+    span several words, with ``edit_distance_matrix``'s word carry.
     """
-    order = np.argsort(-text_lens, kind="stable")
-    lens = text_lens[order]
-    eq = eq[:, order]
-    bits = np.clip(pattern_lens[order] - 64 * np.arange(len(eq))[:, None], 0, 64)
+    bits = np.clip(pattern_lens - 64 * np.arange(len(eq))[:, None], 0, 64)
     # (1 << bits) - 1 per word; a uint64 shifts by at most 63
     low = np.uint64(1) << np.minimum(bits, 63).astype(np.uint64)
     valid = np.where(bits == 64, np.uint64(_FULL), low - np.uint64(1))
-    full = [_FULL] * len(eq)
-    pv = [np.full(len(order), _FULL, dtype=np.uint64)] * len(eq)
-    mv = [np.zeros(len(order), dtype=np.uint64)] * len(eq)
-    out = np.empty(len(order), dtype=np.int64)
-    live = len(order)
-    for i in range(int(lens.max(initial=0)) + 1):
-        c = int(np.count_nonzero(lens > i))
-        if c < live:
-            out[order[c:live]] = _read_out(
-                i, [p[c:] for p in pv], [m[c:] for m in mv], valid[:, c:live])
-            pv, mv = [p[:c] for p in pv], [m[:c] for m in mv]
-            live = c
-        if c:
-            pv, mv = _advance_words(eq[:, :c, i], pv, mv, full, 1)
+    pv = [np.full(len(text_lens), _FULL, dtype=np.uint64)] * len(eq)
+    mv = [np.zeros(len(text_lens), dtype=np.uint64)] * len(eq)
+    out = np.empty(len(text_lens), dtype=np.int64)
+    for i in range(int(text_lens.max(initial=0)) + 1):
+        if i:
+            pv, mv = _advance_words(eq[:, :, i - 1], pv, mv, [_FULL] * len(eq), 1)
+        done = np.flatnonzero(text_lens == i)
+        out[done] = _read_out(
+            i, [p[done] for p in pv], [m[done] for m in mv], valid[:, done])
     return out
 
 
@@ -525,26 +517,21 @@ def _subnetwork_distances(subs_a, subs_b) -> tuple:
     label pair's ``d`` comes from one ``edit_distance_matrix`` call over the
     labels as ``_chars`` sequences, divided by the longer length.  The sums
     then advance one label-slot pair at a time, in that nested order, over
-    all subnetwork pairs at once; a subnetwork with fewer labels pads its
-    slots with label index -1, whose distance row and column are 0, so it
-    adds 0.0 there.  A sum that starts at 0.0 never reads -0.0, so adding
-    0.0 leaves it as it is, and every float is the one the loop gives, nan
-    and inf included.  The same loop counts each pair's label pairs at
-    ``d == 1.0``; a pair is completely different when that count is all of
-    its label pairs.  Memory grows with the number of subnetwork pairs and
-    of distinct label pairs, not with the labels per subnetwork.
+    all subnetwork pairs at once; ``_encode`` numbers the labels, and a
+    subnetwork with fewer labels pads its slots with label index -1, whose
+    distance row and column are 0, so it adds 0.0 there.  A sum that starts
+    at 0.0 never reads -0.0, so adding 0.0 leaves it as it is, and every
+    float is the one the loop gives, nan and inf included.  The same loop
+    counts each pair's label pairs at ``d == 1.0``; a pair is completely
+    different when that count is all of its label pairs.  Memory grows with
+    the number of subnetwork pairs and of distinct label pairs, not with the
+    labels per subnetwork.
     """
-    def padded(subs, ids):
-        idx = np.full((len(subs), max(map(len, subs))), -1)
-        score = np.zeros(idx.shape)
-        for k, sub in enumerate(subs):
-            idx[k, :len(sub)] = [ids.setdefault(lab, len(ids)) for lab in sub]
-            score[k, :len(sub)] = list(sub.values())
-        return idx, score
-
     ids_a, ids_b = {}, {}
-    ia, sa = padded(subs_a, ids_a)
-    ib, sb = padded(subs_b, ids_b)
+    ia, ib = _encode(subs_a, ids_a), _encode(subs_b, ids_b)
+    sa, sb = np.zeros(ia.shape), np.zeros(ib.shape)
+    sa[ia >= 0] = [s for sub in subs_a for s in sub.values()]
+    sb[ib >= 0] = [s for sub in subs_b for s in sub.values()]
     chars_a, chars_b = list(map(_chars, ids_a)), list(map(_chars, ids_b))
     dist = np.zeros((len(ids_a) + 1, len(ids_b) + 1))
     dist[:-1, :-1] = edit_distance_matrix(chars_a, chars_b) / np.maximum.outer(

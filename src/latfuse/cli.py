@@ -27,7 +27,7 @@ from .formats import (
 )
 from .fusion import METHODS, FusionConfig, run_fusion
 from .lattice import MAX_PATHS, best_path, cn_from_wg
-from .metrics import EvalPair, ser, wilcoxon_signed_rank
+from .metrics import EvalPair, ser, wilcoxon_line, wilcoxon_signed_rank
 from .simulate import (
     DEFAULT_ALPHA_STEP,
     alpha_grid_from_step,
@@ -215,11 +215,7 @@ def _cmd_wilcoxon(args):
     vb = read_values(_read(args.b), source=args.b)
     if len(va) != len(vb):
         raise ValueError(f"files hold {len(va)} and {len(vb)} values")
-    res = wilcoxon_signed_rank(va, vb)
-    print(
-        f"W {format(res.statistic, 'g')} N {res.n_effective} "
-        f"P {format_score(res.p_value)} VERDICT {res.verdict}"
-    )
+    print(wilcoxon_line(wilcoxon_signed_rank(va, vb)))
 
 
 _COMMANDS = {

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BLANK, Edge, SymbolSequence, WordGraph, _rank_key, _require_count
+from .lattice import (
+    BLANK, EPS, Edge, SymbolSequence, WordGraph, _rank_key, _require_count)
 
 ROW_SUM_TOL = 1e-6
 
@@ -18,8 +19,9 @@ ROW_SUM_TOL = 1e-6
 class Posteriorgram:
     """K x |labels| row-stochastic matrix of per-step symbol activations.
 
-    ``labels`` must contain the blank token ``<blk>``; each row is finite,
-    sums to 1 within 1e-6 and has no negative entries.
+    ``labels`` must contain the blank token ``<blk>`` and must not contain
+    the reserved ``<eps>``, which would reach a transcription; each row is
+    finite, sums to 1 within 1e-6 and has no negative entries.
     """
 
     labels: tuple[str, ...]
@@ -31,6 +33,8 @@ class Posteriorgram:
         object.__setattr__(self, "rows", rows)
         if BLANK not in self.labels:
             raise ValueError(f"posteriorgram labels must include {BLANK!r}")
+        if EPS in self.labels:
+            raise ValueError(f"posteriorgram labels must not include {EPS!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate posteriorgram labels")
         if rows.ndim != 2 or rows.shape[1] != len(self.labels):

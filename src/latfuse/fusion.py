@@ -41,8 +41,6 @@ from .lattice import (
     strip_eps,
 )
 
-METHODS = ("mbr", "lightly_ia", "lightly_ai", "global", "local")
-
 _EPS_SUBNETWORK = {EPS: 1.0}
 
 
@@ -309,6 +307,9 @@ PREPARE_METHOD = {
     "local": lambda wg_i, wg_a, cfg: _alpha_free(merge_aligned_best_paths(
         best_path(wg_i)[0], best_path(wg_a)[0], cfg.sw)),
 }
+
+#: The fusion method names, in ``PREPARE_METHOD``'s order.
+METHODS = tuple(PREPARE_METHOD)
 
 
 def run_fusion(

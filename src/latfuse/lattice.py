@@ -25,7 +25,6 @@ network or a subnetwork that is not a distribution.
 import heapq
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, NoReturn
@@ -87,7 +86,11 @@ class Vocabulary:
 
     The reserved tokens ``<eps>`` and ``<blk>`` are never members; they mark
     "no symbol here" in confusion networks and the CTC blank respectively,
-    and must not appear in final transcriptions.
+    and must not appear in final transcriptions.  So ``<eps>`` is refused as
+    a ``WordGraph`` edge label and as a ``Posteriorgram`` label; it marks
+    gaps inside confusion networks only, and ``strip_eps`` takes it out of a
+    path read off one.  ``<blk>`` edges are legal: ``posteriorgram_to_wg``
+    makes them.
     """
 
     tokens: tuple[str, ...]
@@ -149,7 +152,8 @@ class WordGraph:
     ``finals`` is the non-empty set of accepting vertices; no edge may leave
     a final vertex or enter the initial one.  Parallel edges between the same
     vertex pair (with different labels) are allowed; they are what makes
-    sausage-shaped lattices expressible.
+    sausage-shaped lattices expressible.  An edge label is a symbol other
+    than the reserved ``<eps>``, so no decoded path carries one.
 
     Construction, ``dataclasses.replace`` included, raises ``LatticeError``
     unless ``validate_wg`` accepts the graph.  The message is ``invalid word
@@ -264,8 +268,9 @@ def validate_wg(wg: WordGraph) -> Verdict:
     """Check every word-graph invariant; report the first violation found.
 
     Check order: vertex ranges, finals non-empty, initial not final, edge
-    endpoint/score sanity, acyclicity, no edge into the initial vertex, no
-    edge out of a final vertex, and existence of a complete path.
+    endpoint/label/score sanity (a label is a symbol, not ``<eps>``),
+    acyclicity, no edge into the initial vertex, no edge out of a final
+    vertex, and existence of a complete path.
     """
     n = wg.num_vertices
     if n < 1:
@@ -284,6 +289,8 @@ def validate_wg(wg: WordGraph) -> Verdict:
             return Verdict(False, "edge endpoint out of range", e)
         if not _is_symbol(e.label):
             return Verdict(False, "edge label empty or has whitespace", e)
+        if e.label == EPS:
+            return Verdict(False, "edge label is reserved", e)
         if not 0.0 < e.score <= 1.0:
             return Verdict(False, "edge score outside (0, 1]", e)
     if topological_order(wg) is None:
@@ -400,20 +407,15 @@ def _n_best(entries: list, n: int) -> list:
     """The first ``n`` back-pointer entries by score, then ``_tie_key``, then
     edge scores.
 
-    Sorts ``entries`` in place by score alone (stably), then re-sorts each
-    run of exactly equal scores that reaches into the first ``n``: only
-    those runs decide the order or the cutoff.
+    Sorts ``entries`` in place by score alone.  Only when an exact tie
+    reaches into the first ``n`` does the order need ``_entry_key``, which
+    walks each prefix: then one more sort, by score and that key, ranks
+    them all.
     """
     entries.sort(key=itemgetter(0))
     head = [ent[0] for ent in entries[:n + 1]]
     if len(set(head)) < len(head):  # some exact tie reaches into the first n
-        negs = [ent[0] for ent in entries]
-        start = 0
-        while start < min(n, len(negs)):
-            stop = bisect_right(negs, negs[start])
-            if stop - start > 1:
-                entries[start:stop] = sorted(entries[start:stop], key=_entry_key)
-            start = stop
+        entries.sort(key=lambda ent: (ent[0], _entry_key(ent)))
     return entries[:n]
 
 
@@ -553,9 +555,7 @@ def strip_eps(seq: SymbolSequence) -> SymbolSequence:
     """Remove every ``<eps>`` item; final transcriptions carry no epsilon."""
     if EPS not in seq.labels:
         return seq
-    if seq.scores is None:
-        return SymbolSequence(tuple(l for l in seq.labels if l != EPS))
-    kept = [(l, s) for l, s in zip(seq.labels, seq.scores) if l != EPS]
-    return SymbolSequence(
-        tuple(l for l, _ in kept), tuple(s for _, s in kept)
-    )
+    keep = [k for k, lab in enumerate(seq.labels) if lab != EPS]
+    scores = seq.scores
+    return SymbolSequence([seq.labels[k] for k in keep],
+                          None if scores is None else [scores[k] for k in keep])

@@ -150,3 +150,13 @@ def result_line(method: str, scenario: int, alpha, ser_value: float) -> str:
         f"METHOD {method} SCENARIO {scenario} "
         f"ALPHA {format(alpha, 'g')} SER {format_score(ser_value)}"
     )
+
+
+def wilcoxon_line(res: WilcoxonResult) -> str:
+    """``W <statistic> N <n_effective> P <p_value> VERDICT <verdict>``, the
+    statistic and p-value to 12 significant digits, as reports and the CLI
+    print a test."""
+    return (
+        f"W {format_score(res.statistic)} N {res.n_effective} "
+        f"P {format_score(res.p_value)} VERDICT {res.verdict}"
+    )

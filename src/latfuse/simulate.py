@@ -26,7 +26,8 @@ from .formats import format_score, write_transcriptions, write_wg
 from .fusion import METHODS, PREPARE_METHOD, FusionConfig
 from .lattice import (
     Edge, SymbolSequence, Vocabulary, WordGraph, _require_integer, best_path)
-from .metrics import result_line, wilcoxon_signed_rank
+from .metrics import (
+    EvalPair, result_line, ser, wilcoxon_line, wilcoxon_signed_rank)
 
 LEVELS = ("High", "Medium", "Low")
 
@@ -513,19 +514,19 @@ def measure_calibrated_level(spec: ScenarioSpec, level: str) -> tuple:
 
     Bisects over the level's corpus as ``calibrated_rate`` does, wraps every
     corrupted spine in a full sausage lattice, best-path decodes it, and
-    pools the SER.  Returns (rate, measured SER); deterministic per seed.
+    pools the SER with ``metrics.ser``.  Returns (rate, measured SER);
+    deterministic per seed.
     """
     target, index = _level(level)
     corpus = _calibration_corpus(spec, _rng(_CAL_STREAM, spec.seed, index))
     rate = _bisect_rate(target, _spine_ser(corpus))
     wrap_rng = _rng(_CAL_STREAM, spec.seed, index, 1)
     vocab = default_vocabulary(spec.vocab_size)
-    num = 0
-    for truth, n, spine in zip(corpus.truths.tolist(), corpus.lens.tolist(),
-                               _spine_rows(corpus, rate)):
-        hyp, _ = best_path(_wrap_sausage(spine, wrap_rng, vocab))
-        num += edit_distance(hyp.labels, [vocab.tokens[i] for i in truth[:n]])
-    return rate, 100.0 * num / int(corpus.lens.sum())
+    return rate, ser(
+        EvalPair(best_path(_wrap_sausage(spine, wrap_rng, vocab))[0],
+                 SymbolSequence([vocab.tokens[i] for i in truth[:n]]))
+        for truth, n, spine in zip(corpus.truths.tolist(), corpus.lens.tolist(),
+                                   _spine_rows(corpus, rate)))
 
 
 def run_scenario_grid(specs, alpha_grid=DEFAULT_ALPHA_GRID) -> list:
@@ -582,10 +583,7 @@ def format_report(report: ScenarioReport) -> str:
             if res is None:
                 lines.append(f"{head} SKIPPED fewer-than-2-nonzero-differences")
             else:
-                lines.append(
-                    f"{head} W {format_score(res.statistic)} N {res.n_effective} "
-                    f"P {format_score(res.p_value)} VERDICT {res.verdict}"
-                )
+                lines.append(f"{head} {wilcoxon_line(res)}")
     return "\n".join(lines) + "\n"
 
 

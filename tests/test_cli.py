@@ -310,9 +310,12 @@ class TestErrorPaths:
             ("E 0 1 a 0.5\nE 1 2 b 1.5\n", ":6: score '1.5' outside (0, 1]"),
             ("E 0 1 a 0.5\nE 1 2 b 0.5\nE 2 3 c 0.5\n", ":1: invalid word "
              "graph: edge leaves final vertex: E 2 3 c 0.5"),
+            # decoded, it would print "a <eps>"
+            ("E 0 1 a 0.5\nE 1 2 <eps> 0.5\n", ":1: invalid word "
+             "graph: edge label is reserved: E 1 2 <eps> 0.5"),
         ],
         ids=["vertex-out-of-range", "zero-score", "score-above-one",
-             "edge-leaves-final"],
+             "edge-leaves-final", "reserved-label"],
     )
     def test_invalid_word_graph_exit_2(self, tmp_path, capsys, edges, message):
         bad = tmp_path / "bad.wg"
@@ -331,8 +334,11 @@ class TestErrorPaths:
             ("", ":2: record 'p' missing LABELS line"),
             ("LABELS <blk> a\nROW 1 0\nROW nan nan\n",
              ":1: row 1 has a non-finite activation"),
+            # decoded, it would print "<eps> a"
+            ("LABELS <eps> a <blk>\nROW 0.8 0.1 0.1\nROW 0.1 0.8 0.1\n",
+             ":1: posteriorgram labels must not include '<eps>'"),
         ],
-        ids=["missing-labels", "nan-row"],
+        ids=["missing-labels", "nan-row", "reserved-label"],
     )
     def test_bad_posteriorgram_exit_2(self, tmp_path, capsys, body, message):
         bad = tmp_path / "p.pg"
@@ -374,6 +380,16 @@ class TestWilcoxonCommand:
         assert run(["wilcoxon", "--a", str(a), "--b", str(b)]) == 0
         out = capsys.readouterr().out.strip()
         assert out == "W 0 N 9 P 0.00390625 VERDICT greater"
+
+    def test_w_prints_twelve_digits(self, tmp_path, capsys):
+        # differences -1..-2025 and 2026..3000: W is the negative rank sum,
+        # 2025 * 2026 / 2 = 2051325, seven significant digits
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("".join(f"{-k if k <= 2025 else k}\n" for k in range(1, 3001)))
+        b.write_text("0\n" * 3000)
+        assert run(["wilcoxon", "--a", str(a), "--b", str(b)]) == 0
+        w, n = capsys.readouterr().out.split()[1:4:2]
+        assert (w, n) == ("2051325", "3000")
 
     def test_all_equal_exit_3(self, tmp_path):
         a = tmp_path / "a.txt"

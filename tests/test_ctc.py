@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from latfuse import (
     BLANK,
+    EPS,
     Posteriorgram,
     SymbolSequence,
     best_path,
@@ -86,6 +89,16 @@ class TestPosteriorgramType:
     def test_requires_blank(self):
         with pytest.raises(ValueError):
             Posteriorgram(("a", "b"), np.array([[0.5, 0.5]]))
+
+    def test_refuses_eps_label(self):
+        # greedy decoding would print it: "<eps> a"
+        rows = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]])
+        message = "posteriorgram labels must not include '<eps>'"
+        with pytest.raises(ValueError, match=message):
+            Posteriorgram((EPS, "a", BLANK), rows)
+        valid = Posteriorgram(("b", "a", BLANK), rows)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(valid, labels=(EPS, "a", BLANK))
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):

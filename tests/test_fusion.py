@@ -488,6 +488,8 @@ class TestDispatchAndIdentity:
 
     def test_prepared_decode_matches_run_fusion(self):
         assert tuple(PREPARE_METHOD) == METHODS
+        # the public order, which FusionConfig and the --method choices read
+        assert METHODS == ("mbr", "lightly_ia", "lightly_ai", "global", "local")
         rng = np.random.default_rng(61)
         for _ in range(8):
             wg_i, wg_a = random_wg(rng), random_wg(rng)

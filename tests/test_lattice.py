@@ -234,6 +234,8 @@ VIOLATIONS = [
      "edge endpoint out of range: E 1 9 b 0.5"),
     ("label", dict(edges=[(0, 1, "a b", 0.5), (1, 2, "b", 0.5)]),
      "edge label empty or has whitespace: E 0 1 a b 0.5"),
+    ("reserved-label", dict(edges=[(0, 1, "a", 0.5), (1, 2, EPS, 0.5)]),
+     "edge label is reserved: E 1 2 <eps> 0.5"),
     ("score", dict(edges=[(0, 1, "a", 0.5), (1, 2, "b", 1.5)]),
      "edge score outside (0, 1]: E 1 2 b 1.5"),
     ("cycle", dict(edges=[(0, 1, "a", 0.5), (1, 2, "b", 0.5),
